@@ -14,31 +14,21 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import constructions as cons
 from . import core, pascal
-from .errors import ConstructionFailure, SigmacError
+from .errors import CapacityError, ConstructionFailure, SigmacError
 
 DEFAULT_SEED = 271828  # fixed constant; never wall-clock
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    args: argparse.Namespace
-
-    @property
-    def seed(self) -> int:
-        return getattr(self.args, "seed", DEFAULT_SEED)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -77,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="build a code and write its JSON artifact")
     p_con.add_argument("--method", required=True,
-                       choices=["trivial", "noiseless", "rs-augment", "random", "kronecker"])
+                       choices=["trivial", "rs-augment", "random", "kronecker"])
     p_con.add_argument("--q", type=int, default=2)
     p_con.add_argument("--n", type=int)
     p_con.add_argument("--k", type=int, help="length override for the random method")
@@ -86,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="linear error fraction for the random method "
                             "(t becomes floor(tau * k))")
     p_con.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_con.add_argument("--provider", default="trivial", choices=list(cons.KNOWN_PROVIDERS))
     p_con.add_argument("--max-attempts", type=int, default=100)
     p_con.add_argument("--epsilon", type=_parse_fraction,
                        help="total slack for the kronecker method, e.g. 1/16")
@@ -121,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_pascal(config: RunConfig) -> int:
-    args = config.args
+def cmd_pascal(args: argparse.Namespace) -> int:
     modes = [bool(args.row), bool(args.identity_sweep), bool(args.table)]
     if sum(modes) != 1:
         print("pascal: choose exactly one of --row, --identity-sweep, --table",
@@ -190,61 +178,28 @@ def _compositions(length: int, max_part: int):
             yield (head,) + tail
 
 
-def _verified_d_min(matrix: core.SignatureMatrix, limit: Optional[int]) -> Optional[int]:
-    if matrix.n <= core.z_enumeration_limit(limit):
-        return core.min_distinguishing_weight(matrix, limit).d_min
-    return None
-
-
-def cmd_construct(config: RunConfig) -> int:
-    args = config.args
+def cmd_construct(args: argparse.Namespace) -> int:
     limit = args.limit_z
     try:
+        if args.method != "kronecker" and not args.n:
+            raise ValueError("--n is required")
         if args.method == "trivial":
-            if not args.n:
-                raise ValueError("--n is required")
             matrix = cons.construct_trivial(args.n)
-            envelope = {"kind": "trivial", "matrix": matrix.to_json(),
-                        "design_t": 0, "seed": args.seed}
-            check = matrix
-        elif args.method == "noiseless":
-            if not args.n:
-                raise ValueError("--n is required")
-            result = cons.construct_noiseless(args.n, args.provider, limit)
-            envelope = {"kind": "noiseless", "matrix": result.matrix.to_json(),
-                        "design_t": 0, "seed": args.seed,
-                        "provider_requested": result.provider_requested,
-                        "provider_used": result.provider_used,
-                        "fallback": result.fallback}
-            check = result.matrix
+            envelope = {"kind": "trivial", "matrix": matrix.to_json(), "design_t": 0}
         elif args.method == "rs-augment":
-            if not args.n:
-                raise ValueError("--n is required")
-            if args.t < 1:
-                raise ValueError("rs-augment needs --t >= 1")
-            base = cons.construct_noiseless(args.n, args.provider, limit)
-            code = cons.rs_augment(base.matrix, args.t)
-            envelope = code.to_json()
-            envelope.update({"design_t": args.t, "seed": args.seed,
-                             "provider_used": base.provider_used,
-                             "fallback": base.fallback})
-            check = code.extended
+            code = cons.rs_augment(cons.construct_trivial(args.n), args.t)
+            matrix, envelope = code.extended, code.to_json()
         elif args.method == "random":
-            if not args.n:
-                raise ValueError("--n is required")
-            t = args.t
-            k_override = args.k
+            t, k = args.t, args.k
             if args.tau is not None:
                 plan = cons.plan_random_length(
                     args.n, args.q, bounds_mod.LinearTau(args.tau))
-                k_override = args.k if args.k is not None else plan.k
-                t = math.floor(args.tau * k_override)
+                k = plan.k if k is None else k
+                t = math.floor(args.tau * k)
             result = cons.construct_random(args.n, args.q, t, args.seed,
                                            max_attempts=args.max_attempts,
-                                           k_override=k_override, limit=limit)
-            envelope = result.to_json()
-            envelope["design_t"] = t
-            check = result.matrix
+                                           k_override=k, limit=limit)
+            matrix, envelope = result.matrix, result.to_json()
         else:  # kronecker
             if args.epsilon is None or not (args.p and args.s and args.r):
                 raise ValueError("kronecker needs --epsilon, --p, --s, --r")
@@ -252,9 +207,7 @@ def cmd_construct(config: RunConfig) -> int:
                                         args.r, seed=args.seed,
                                         outer_kind=args.outer,
                                         t_inner=args.inner_t, c1=args.c1)
-            envelope = code.to_json()
-            envelope.update({"design_t": code.certified_budget, "seed": args.seed})
-            check = code.composed
+            matrix, envelope = code.composed, code.to_json()
     except ConstructionFailure as exc:
         print(f"construction failed after {exc.attempts} attempts: {exc}",
               file=sys.stderr)
@@ -262,44 +215,41 @@ def cmd_construct(config: RunConfig) -> int:
     except (ValueError, SigmacError) as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    envelope["d_min"] = _verified_d_min(check, limit)
+    envelope["seed"] = args.seed
+    # A random envelope carries d_min from the walk that accepted its matrix.
+    if "d_min" not in envelope:
+        envelope["d_min"] = (core.min_distinguishing_weight(matrix, limit).d_min
+                             if matrix.n <= core.z_enumeration_limit(limit) else None)
     Path(args.out).write_text(core.dumps_canonical(envelope))
     print(f"{args.method}: wrote {args.out} "
-          f"(k={check.k}, n={check.n}, q={check.q}, d_min={envelope['d_min']})")
+          f"(k={matrix.k}, n={matrix.n}, q={matrix.q}, d_min={envelope['d_min']})")
     return EXIT_OK
 
 
-def _load_simulation_target(obj: dict):
-    """(matrix, decoder, default_t) for an artifact envelope."""
-    kind = obj.get("kind")
-    if kind == "rs_augmented":
-        code = cons.AugmentedCode.from_json(obj)
-        return code.extended, (lambda y: cons.rs_augmented_decode(code, y)), code.t
-    if kind == "kronecker":
-        code = cons.KroneckerCode.from_json(obj)
-        return code.composed, (lambda y: cons.kronecker_decode(code, y)), code.certified_budget
-    matrix = core.SignatureMatrix.from_json(obj["matrix"])
-    return matrix, None, obj.get("design_t", 0)
-
-
-def cmd_simulate(config: RunConfig) -> int:
-    args = config.args
+def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         obj = json.loads(Path(args.artifact).read_text())
-        matrix, decoder, default_t = _load_simulation_target(obj)
-    except (OSError, ValueError, KeyError) as exc:
+        artifact = cons.load_artifact(obj)
+    except (OSError, ValueError, KeyError, TypeError, CapacityError) as exc:
         print(f"simulate: cannot load artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if isinstance(artifact, cons.AugmentedCode):
+        matrix, default_t = artifact.extended, artifact.t
+        decoder = partial(cons.rs_augmented_decode, artifact)
+    elif isinstance(artifact, cons.KroneckerCode):
+        matrix, default_t = artifact.composed, artifact.certified_budget
+        decoder = partial(cons.kronecker_decode, artifact)
+    else:
+        matrix, default_t = artifact, obj.get("design_t", 0)
+        decoder = lambda y: core.decode_min_distance(y, matrix, t, args.limit_u)
     t = args.t if args.t is not None else default_t
-    if t < 0 or args.rounds < 0:
-        print("simulate: need t >= 0 and --rounds >= 0", file=sys.stderr)
+    if type(t) is not int or not 0 <= t <= matrix.k or args.rounds < 0:
+        print(f"simulate: need 0 <= t <= k = {matrix.k} and --rounds >= 0",
+              file=sys.stderr)
         return EXIT_USAGE
     witness = None
     if args.error_mode == core.WORST_CASE_ERRORS:
         witness = core.adversarial_witness(matrix, t, args.limit_z)
-    rng_decoder = decoder
-    if rng_decoder is None:
-        rng_decoder = lambda y: core.decode_min_distance(y, matrix, t, args.limit_u)
     failures = 0
     for index in range(args.rounds):
         u_rng = random.Random(core.derive_seed(args.seed, "activity", index))
@@ -307,7 +257,7 @@ def cmd_simulate(config: RunConfig) -> int:
         record = core.simulate_round(
             matrix, u, t, args.error_mode,
             seed=core.derive_seed(args.seed, "round", index),
-            decoder=rng_decoder, witness=witness, limit=args.limit_z,
+            decoder=decoder, witness=witness, limit=args.limit_z,
         )
         if not record.success:
             failures += 1
@@ -320,8 +270,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def cmd_bounds(config: RunConfig) -> int:
-    args = config.args
+def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         n_values = _parse_int_list(args.n)
         q_values = _parse_int_list(args.q)
@@ -368,17 +317,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    config = RunConfig(subcommand=args.subcommand, args=args)
     handler = {
         "pascal": cmd_pascal,
         "construct": cmd_construct,
         "simulate": cmd_simulate,
         "bounds": cmd_bounds,
-    }[config.subcommand]
+    }[args.subcommand]
     try:
-        return handler(config)
+        return handler(args)
     except SigmacError as exc:
-        print(f"{config.subcommand}: {exc}", file=sys.stderr)
+        print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

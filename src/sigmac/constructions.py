@@ -36,7 +36,6 @@ from .core import (
     decode_min_distance,
     derive_seed,
     min_distinguishing_weight,
-    z_enumeration_limit,
 )
 from .errors import AmbiguousDecoding, ConstructionFailure, DecodingFailure
 from .linear import (
@@ -62,44 +61,6 @@ def construct_trivial(n: int) -> SignatureMatrix:
         raise ValueError("need n >= 1")
     rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     return SignatureMatrix(q=2, rows=rows)
-
-
-NOISELESS_PROVIDERS = {"trivial": construct_trivial}
-KNOWN_PROVIDERS = ("trivial", "lindstrom")
-
-
-@dataclass(frozen=True)
-class NoiselessConstruction:
-    matrix: SignatureMatrix
-    provider_requested: str
-    provider_used: str
-    fallback: bool
-    d_min: Optional[int]
-
-
-def construct_noiseless(n: int, provider: str = "trivial",
-                        limit: int | None = None) -> NoiselessConstruction:
-    """Build a base matrix for the error-free channel via a named provider.
-
-    Providers may be registered in NOISELESS_PROVIDERS; a known but
-    unregistered provider (currently "lindstrom") falls back to the trivial
-    identity with the fallback flag set.  The result is re-verified with the
-    sign-pattern oracle whenever n is within the enumeration budget.
-    """
-    if provider not in KNOWN_PROVIDERS:
-        raise ValueError(f"unknown provider {provider!r}; known: {KNOWN_PROVIDERS}")
-    builder = NOISELESS_PROVIDERS.get(provider)
-    fallback = builder is None
-    used = provider if builder else "trivial"
-    matrix = (builder or construct_trivial)(n)
-    d_min = None
-    if n <= z_enumeration_limit(limit):
-        d_min = min_distinguishing_weight(matrix, limit).d_min
-        if d_min < 1:
-            raise ConstructionFailure(
-                f"provider {used!r} produced a matrix that is not uniquely decodable"
-            )
-    return NoiselessConstruction(matrix, provider, used, fallback, d_min)
 
 
 class AugmentedCode:
@@ -132,6 +93,7 @@ class AugmentedCode:
     def to_json(self) -> dict:
         return {
             "kind": "rs_augmented",
+            "design_t": self.t,
             "base": self.base.to_json(),
             "extended": self.extended.to_json(),
             "t": self.t,
@@ -144,18 +106,11 @@ class AugmentedCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AugmentedCode":
-        base = SignatureMatrix.from_json(obj["base"])
-        code = cls(
-            base=base,
-            extended=SignatureMatrix.from_json(obj["extended"]),
-            t=obj["t"],
-            q_rs=obj["q_rs"],
-            bit_width=obj["bit_width"],
-        )
-        rebuilt = rs_augment(base, obj["t"])
-        if (rebuilt.extended.rows != code.extended.rows
-                or rebuilt.q_rs != code.q_rs):
-            raise ValueError("extended matrix does not match its base and t")
+        """Rebuild from the base and t; every other stated field must match."""
+        code = rs_augment(SignatureMatrix.from_json(obj["base"]), obj["t"])
+        stated = (SignatureMatrix.from_json(obj["extended"]), obj["q_rs"], obj["bit_width"])
+        if stated != (code.extended, code.q_rs, code.bit_width):
+            raise ValueError("extended matrix, q_rs or bit_width does not match its base and t")
         return code
 
 
@@ -246,6 +201,7 @@ def plan_random_length(n: int, q: int, t_mode: TMode) -> PlannedLength:
 @dataclass(frozen=True)
 class RandomConstruction:
     matrix: SignatureMatrix
+    t: int
     seed: int
     attempts: int
     k: int
@@ -256,6 +212,7 @@ class RandomConstruction:
     def to_json(self) -> dict:
         return {
             "kind": "random",
+            "design_t": self.t,
             "matrix": self.matrix.to_json(),
             "seed": self.seed,
             "attempts": self.attempts,
@@ -289,7 +246,7 @@ def construct_random(n: int, q: int, t: int, seed: int,
         matrix = SignatureMatrix(q=q, rows=rows)
         report = min_distinguishing_weight(matrix, limit)
         if report.d_min >= 2 * t + 1:
-            return RandomConstruction(matrix=matrix, seed=seed, attempts=attempt,
+            return RandomConstruction(matrix=matrix, t=t, seed=seed, attempts=attempt,
                                       k=k, d_min=report.d_min, planned_k=planned,
                                       escalations=escalations)
         if attempt % batch_size == 0:
@@ -441,6 +398,7 @@ class KroneckerCode:
     def to_json(self) -> dict:
         return {
             "kind": "kronecker",
+            "design_t": self.certified_budget,
             "inner": self.inner.to_json(),
             "outer": self.outer.to_json(),
             "composed": self.composed.to_json(),
@@ -456,18 +414,20 @@ class KroneckerCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KroneckerCode":
+        """Re-verify both factors, which the certified budget trusts, and recompose."""
         inner = SignatureMatrix.from_json(obj["inner"])
         outer = BinaryLinearCode.from_json(obj["outer"])
-        code = cls(
-            inner=inner,
-            outer=outer,
-            composed=SignatureMatrix.from_json(obj["composed"]),
-            t_inner=obj["t_inner"],
+        t_inner = obj["t_inner"]
+        if t_inner < 0 or min_distinguishing_weight(inner).d_min < 2 * t_inner + 1:
+            raise ValueError(f"inner matrix does not tolerate t_inner = {t_inner}")
+        if outer.min_distance() < outer.design_distance:
+            raise ValueError(f"outer code distance is below its stated D = {outer.design_distance}")
+        code = kronecker_compose(
+            outer, inner, t_inner=t_inner,
             eps1=None if obj.get("eps1") is None else Fraction(obj["eps1"]),
             eps2=None if obj.get("eps2") is None else Fraction(obj["eps2"]),
         )
-        expected = kronecker_compose(outer, inner, t_inner=code.t_inner).composed
-        if expected.rows != code.composed.rows:
+        if SignatureMatrix.from_json(obj["composed"]) != code.composed:
             raise ValueError("composed matrix does not match its factors")
         return code
 
@@ -544,8 +504,7 @@ def kronecker_decode(code: KroneckerCode, b: Sequence[int]) -> InfoVector:
 def build_kronecker(q: int, epsilon, p: int, s: int, r: int, seed: int = 0,
                     outer_kind: str = "search",
                     t_inner: int | None = None,
-                    c1: int | None = None,
-                    inner_mode: str = "exhaustive") -> KroneckerCode:
+                    c1: int | None = None) -> KroneckerCode:
     """Plan slacks, find the inner matrix, build the outer code, and compose.
 
     Desk-scale instances pick (p, s, r) directly; the asymptotic sizing
@@ -556,8 +515,7 @@ def build_kronecker(q: int, epsilon, p: int, s: int, r: int, seed: int = 0,
     eps1, eps2 = plan_epsilon_split(q, epsilon)
     if t_inner is None:
         t_inner = math.floor((max_correctable_fraction(q) - eps1) * p)
-    inner = find_inner_matrix(p, s, q, t_inner, mode=inner_mode,
-                              seed=derive_seed(seed, "inner"))
+    inner = find_inner_matrix(p, s, q, t_inner)
     if outer_kind == "repetition":
         if r != 1:
             raise ValueError("a repetition outer code requires r = 1")
@@ -573,6 +531,8 @@ def build_kronecker(q: int, epsilon, p: int, s: int, r: int, seed: int = 0,
 
 def load_artifact(obj: dict):
     """Rebuild a construction from its JSON envelope."""
+    if not isinstance(obj, dict):
+        raise ValueError("an artifact must be a JSON object")
     kind = obj.get("kind")
     if kind == "rs_augmented":
         return AugmentedCode.from_json(obj)

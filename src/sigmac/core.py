@@ -49,8 +49,8 @@ class SignatureMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"alphabet size q must be >= 2, got {self.q}")
+        if type(self.q) is not int or self.q < 2:
+            raise ValueError(f"alphabet size q must be an int >= 2, got {self.q!r}")
         if not self.rows or not self.rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(self.rows[0])
@@ -58,8 +58,8 @@ class SignatureMatrix:
             if len(r) != width:
                 raise ValueError("ragged rows")
             for v in r:
-                if not 0 <= v < self.q:
-                    raise ValueError(f"entry {v} outside [0, {self.q - 1}]")
+                if type(v) is not int or not 0 <= v < self.q:
+                    raise ValueError(f"entry {v!r} is not an int in [0, {self.q - 1}]")
 
     @property
     def k(self) -> int:
@@ -332,11 +332,17 @@ def _draw_error_pattern(rng: random.Random, k: int, t: int,
     return errors
 
 
+# Default of simulate_round's witness: find it in the round.  None cannot
+# mean that, because None is what adversarial_witness returns when the
+# matrix tolerates t.
+_FIND_WITNESS = object()
+
+
 def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
                    error_mode: str, seed: int,
                    value_range: tuple[int, int] | None = None,
                    decoder: Callable[[ChannelWord], InfoVector] | None = None,
-                   witness: Optional[AdversarialWitness] = None,
+                   witness: Optional[AdversarialWitness] = _FIND_WITNESS,
                    limit: int | None = None) -> TrialRecord:
     """One encode / corrupt / decode round, deterministic given the seed.
 
@@ -344,8 +350,11 @@ def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
     from value_range minus {0} (default [-n(q-1), n(q-1)]).  In worst-case
     mode the transmitted vector and errors come from adversarial_witness;
     when no witness exists (the matrix tolerates t) the round falls back to
-    a random draw and notes that.  A decoder for the specific code may be
-    injected; the default is minimum-distance decoding at budget t.
+    a random draw and notes that.  A caller running many rounds passes
+    adversarial_witness(matrix, t, limit) as `witness`, None included, so
+    that the 3^n walk runs once; left out, it runs here, within `limit`.
+    A decoder for the specific code may be injected; the default is
+    minimum-distance decoding at budget t, within its own 2^n limit.
     """
     _check_info_vector(u, matrix.n)
     if t < 0 or t > matrix.k:
@@ -357,7 +366,7 @@ def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
         span = matrix.n * (matrix.q - 1)
         errors = _draw_error_pattern(rng, matrix.k, t, value_range or (-span, span))
     elif error_mode == WORST_CASE_ERRORS:
-        if witness is None:
+        if witness is _FIND_WITNESS:
             witness = adversarial_witness(matrix, t, limit)
         if witness is None:
             rng = random.Random(derive_seed(seed, "simulate"))
@@ -370,7 +379,7 @@ def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
     else:
         raise ValueError(f"unknown error mode {error_mode!r}")
     received = apply_errors(encode(matrix, transmitted), errors)
-    decode = decoder or (lambda word: decode_min_distance(word, matrix, t, limit))
+    decode = decoder or (lambda word: decode_min_distance(word, matrix, t))
     try:
         decoded = decode(received)
     except (AmbiguousDecoding, DecodingFailure) as exc:

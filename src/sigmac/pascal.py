@@ -219,11 +219,6 @@ class CentralBoundsCheck:
     central: int
 
 
-def central_bound_constant(q: int) -> float:
-    """The constant c_q = (1/2) * (2/pi)^((q-1)/2) * e/(e-1)."""
-    return 0.5 * (2.0 / math.pi) ** ((q - 1) / 2) * math.e / (math.e - 1.0)
-
-
 def check_central_bounds(q: int, n: int) -> CentralBoundsCheck:
     """Check both upper bounds on the central coefficient of row n.
 

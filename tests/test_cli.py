@@ -2,7 +2,9 @@
 
 import json
 
-from sigmac import cli
+import pytest
+
+from sigmac import cli, constructions, core
 from sigmac.core import SignatureMatrix, min_distinguishing_weight
 
 
@@ -91,12 +93,44 @@ def test_construct_rs_augment_and_simulate(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_construct_noiseless_fallback_flag(tmp_path):
-    artifact = tmp_path / "nl.json"
-    assert run(["construct", "--method", "noiseless", "--n", "5",
-                "--provider", "lindstrom", "--out", str(artifact)]) == 0
+@pytest.fixture
+def walks(monkeypatch):
+    """Matrices given to the 3^n verifier, at every place it is bound."""
+    walked = []
+
+    def counting(matrix, limit=None):
+        walked.append(matrix)
+        return min_distinguishing_weight(matrix, limit)
+
+    monkeypatch.setattr(core, "min_distinguishing_weight", counting)
+    monkeypatch.setattr(constructions, "min_distinguishing_weight", counting)
+    return walked
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "random", "--q", "3", "--n", "6", "--t", "1", "--seed", "9", "--k", "8"],
+    ["--method", "trivial", "--n", "4"],
+    ["--method", "rs-augment", "--n", "4", "--t", "1"],
+], ids=["random", "trivial", "rs-augment"])
+def test_construct_walks_the_written_matrix_once(tmp_path, walks, argv):
+    artifact = tmp_path / "a.json"
+    assert run(["construct", *argv, "--out", str(artifact)]) == 0
     obj = json.loads(artifact.read_text())
-    assert obj["fallback"] is True and obj["provider_used"] == "trivial"
+    written = SignatureMatrix.from_json(obj.get("matrix") or obj["extended"])
+    assert len(walks) == obj.get("attempts", 1)
+    assert walks[-1] == written
+    assert min_distinguishing_weight(written).d_min == obj["d_min"]
+
+
+def test_simulate_worst_case_walks_once(tmp_path, walks, capsys):
+    artifact = tmp_path / "rs.json"
+    assert run(["construct", "--method", "rs-augment", "--n", "4", "--t", "1",
+                "--out", str(artifact)]) == 0
+    walks.clear()
+    assert run(["simulate", "--in", str(artifact), "--rounds", "6",
+                "--error-mode", "worst-case-from-witness"]) == 0
+    assert len(walks) == 1
+    capsys.readouterr()
 
 
 def test_construct_kronecker_and_simulate(tmp_path, capsys):
@@ -147,6 +181,50 @@ def test_simulate_zero_rounds_vacuous(tmp_path, capsys):
 def test_simulate_missing_artifact(capsys):
     assert run(["simulate", "--in", "/nonexistent.json"]) == 2
     capsys.readouterr()
+
+
+TRIVIAL = ["--method", "trivial", "--n", "3"]
+RS = ["--method", "rs-augment", "--n", "4", "--t", "1"]
+KRONECKER = ["--method", "kronecker", "--q", "3", "--epsilon", "1/16", "--p", "3",
+             "--s", "2", "--r", "1", "--outer", "repetition", "--c1", "6",
+             "--inner-t", "1"]
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(envelope):
+        obj = envelope
+        for part in path:
+            obj = obj[part]
+        obj[key] = value
+        return envelope
+    return mutate
+
+
+# (construct argv, edit of the written envelope, extra simulate argv)
+MALFORMED = {
+    "t-above-k": (TRIVIAL, lambda obj: obj, ["--t", "4"]),
+    "top-level-list": (TRIVIAL, lambda obj: [obj], []),
+    "rows-not-lists": (TRIVIAL, _set("matrix", "rows", [1, 2]), []),
+    "unknown-kind": (TRIVIAL, _set("kind", "mystery"), []),
+    "rs-bit-width": (RS, _set("bit_width", 2), []),
+    "kronecker-t-inner": (KRONECKER, _set("t_inner", 3), []),
+    "kronecker-outer-distance": (KRONECKER, _set("outer", "D", 7), []),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_simulate_malformed_input_is_usage_error(tmp_path, capsys, case):
+    argv, mutate, extra = MALFORMED[case]
+    artifact = tmp_path / "a.json"
+    assert run(["construct", *argv, "--out", str(artifact)]) == 0
+    artifact.write_text(json.dumps(mutate(json.loads(artifact.read_text()))))
+    capsys.readouterr()
+    assert run(["simulate", "--in", str(artifact), "--rounds", "5", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
 def test_bounds_text_single_cell(capsys):

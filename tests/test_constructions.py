@@ -32,17 +32,6 @@ def test_construct_trivial():
         cons.construct_trivial(0)
 
 
-def test_construct_noiseless_providers():
-    result = cons.construct_noiseless(4, "trivial")
-    assert result.matrix == cons.construct_trivial(4)
-    assert not result.fallback and result.d_min == 1
-    result = cons.construct_noiseless(8, "lindstrom")
-    assert result.fallback and result.provider_used == "trivial"
-    assert result.d_min is not None and result.d_min >= 1
-    with pytest.raises(ValueError):
-        cons.construct_noiseless(4, "magic")
-
-
 def test_rs_augment_requires_positive_t():
     with pytest.raises(ValueError):
         cons.rs_augment(cons.construct_trivial(2), 0)
@@ -146,6 +135,11 @@ def test_augmented_code_json_round_trip():
     assert dumps_canonical(loaded.to_json()) == blob
     tampered = json.loads(blob)
     tampered["extended"]["rows"][3][0] ^= 1
+    with pytest.raises(ValueError):
+        cons.AugmentedCode.from_json(tampered)
+    # a narrower bit width would regroup the parity rows into wrong symbols
+    tampered = json.loads(blob)
+    tampered["bit_width"] -= 1
     with pytest.raises(ValueError):
         cons.AugmentedCode.from_json(tampered)
 
@@ -318,6 +312,15 @@ def test_kronecker_json_round_trip():
     tampered = json.loads(blob)
     tampered["composed"]["rows"][0][0] = 2
     with pytest.raises(ValueError):
+        cons.KroneckerCode.from_json(tampered)
+    # either edit would raise the certified budget above what the code corrects
+    tampered = json.loads(blob)
+    tampered["t_inner"] = 3
+    with pytest.raises(ValueError, match="t_inner"):
+        cons.KroneckerCode.from_json(tampered)
+    tampered = json.loads(blob)
+    tampered["outer"]["D"] = 7
+    with pytest.raises(ValueError, match="outer code distance"):
         cons.KroneckerCode.from_json(tampered)
 
 

@@ -54,6 +54,11 @@ def test_matrix_validation():
         SignatureMatrix(q=2, rows=((0, 2),))
     with pytest.raises(ValueError):
         SignatureMatrix(q=2, rows=((0, 1), (0,)))
+    # entries and q must be Python ints: no floats, bools or strings
+    for q, rows in ((3, ((1.5, True),)), (3, ((1, True),)), (3, (("1", 0),)),
+                    (3.0, ((1, 0),)), (True, ((0, 1),))):
+        with pytest.raises(ValueError):
+            SignatureMatrix(q=q, rows=rows)
     m = SignatureMatrix(q=3, rows=((0, 1, 2),))
     assert m.k == 1 and m.n == 3 and m.column(2) == (2,)
 
@@ -245,6 +250,28 @@ def test_simulate_round_deterministic_and_safe():
 def test_simulate_round_worst_case_failure():
     record = simulate_round(identity(3), (1, 1, 0), 1, WORST_CASE_ERRORS, seed=0)
     assert not record.success
+
+
+def test_simulate_round_given_witness_skips_the_walk(monkeypatch):
+    matrix = identity(3)
+    found = simulate_round(matrix, (1, 1, 0), 0, WORST_CASE_ERRORS, seed=3)
+    walks = []
+    monkeypatch.setattr(core, "adversarial_witness",
+                        lambda *args: walks.append(args))
+    # None is adversarial_witness's answer for a tolerant matrix, not "find it"
+    given = simulate_round(matrix, (1, 1, 0), 0, WORST_CASE_ERRORS, seed=3,
+                           witness=None)
+    assert given == found and given.note.startswith("no adversarial witness")
+    assert walks == []
+
+
+def test_simulate_round_limit_bounds_only_the_verifier():
+    # limit is the 3^n budget; the default decoder keeps its own 2^n limit
+    matrix = identity(6)
+    u = (1, 0, 1, 1, 0, 0)
+    assert simulate_round(matrix, u, 0, RANDOM_ERRORS, seed=1, limit=5).success
+    with pytest.raises(CapacityError):
+        simulate_round(matrix, u, 0, WORST_CASE_ERRORS, seed=1, limit=5)
 
 
 def test_simulate_round_bad_mode():
