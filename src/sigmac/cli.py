@@ -10,6 +10,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -110,6 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process.
+
+    Parsing does not change a parser, so one serves every call; it is kept
+    apart from build_parser(), whose callers may add arguments to theirs.
+    """
+    return build_parser()
+
+
 def cmd_pascal(args: argparse.Namespace) -> int:
     modes = [bool(args.row), bool(args.identity_sweep), bool(args.table)]
     if sum(modes) != 1:
@@ -179,8 +190,8 @@ def _compositions(length: int, max_part: int):
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    limit = args.limit_z
     try:
+        limit = core.z_enumeration_limit(args.limit_z)
         if args.method != "kronecker" and not args.n:
             raise ValueError("--n is required")
         if args.method == "trivial":
@@ -219,7 +230,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     # A random envelope carries d_min from the walk that accepted its matrix.
     if "d_min" not in envelope:
         envelope["d_min"] = (core.min_distinguishing_weight(matrix, limit).d_min
-                             if matrix.n <= core.z_enumeration_limit(limit) else None)
+                             if matrix.n <= limit else None)
     Path(args.out).write_text(core.dumps_canonical(envelope))
     print(f"{args.method}: wrote {args.out} "
           f"(k={matrix.k}, n={matrix.n}, q={matrix.q}, d_min={envelope['d_min']})")
@@ -227,6 +238,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    try:
+        limit_z = core.z_enumeration_limit(args.limit_z)
+    except ValueError as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         obj = json.loads(Path(args.artifact).read_text())
         artifact = cons.load_artifact(obj)
@@ -241,7 +257,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         decoder = partial(cons.kronecker_decode, artifact)
     else:
         matrix, default_t = artifact, obj.get("design_t", 0)
-        decoder = lambda y: core.decode_min_distance(y, matrix, t, args.limit_u)
+        limit_u = core.DEFAULT_U_LIMIT if args.limit_u is None else args.limit_u
+        if matrix.n > limit_u:
+            print(f"simulate: n={matrix.n} exceeds the 2^n decoding limit ({limit_u}); "
+                  f"raise --limit-u to override", file=sys.stderr)
+            return EXIT_USAGE
+        decoder = lambda y: core.decode_min_distance(y, matrix, t, limit_u)
     t = args.t if args.t is not None else default_t
     if type(t) is not int or not 0 <= t <= matrix.k or args.rounds < 0:
         print(f"simulate: need 0 <= t <= k = {matrix.k} and --rounds >= 0",
@@ -249,7 +270,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     witness = None
     if args.error_mode == core.WORST_CASE_ERRORS:
-        witness = core.adversarial_witness(matrix, t, args.limit_z)
+        try:
+            witness = core.adversarial_witness(matrix, t, limit_z)
+        except CapacityError as exc:
+            print(f"simulate: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     failures = 0
     for index in range(args.rounds):
         u_rng = random.Random(core.derive_seed(args.seed, "activity", index))
@@ -257,7 +282,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         record = core.simulate_round(
             matrix, u, t, args.error_mode,
             seed=core.derive_seed(args.seed, "round", index),
-            decoder=decoder, witness=witness, limit=args.limit_z,
+            decoder=decoder, witness=witness, limit=limit_z,
         )
         if not record.success:
             failures += 1
@@ -312,9 +337,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     handler = {

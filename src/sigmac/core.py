@@ -29,6 +29,9 @@ from .errors import AmbiguousDecoding, CapacityError, DecodingFailure
 # activity vectors.  Overridable per call or via SIGMAC_LIMIT_Z.
 DEFAULT_Z_LIMIT = 18
 DEFAULT_U_LIMIT = 24
+# Row comparisons the decoder holds at once, k per candidate; bounds its
+# memory independently of n.
+DECODE_BLOCK = 1 << 20
 
 InfoVector = tuple[int, ...]        # entries in {0,1}, one per user
 ChannelWord = tuple[int, ...]       # length k, unbounded integers
@@ -101,7 +104,12 @@ def z_enumeration_limit(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("SIGMAC_LIMIT_Z")
-    return int(env) if env else DEFAULT_Z_LIMIT
+    if not env:
+        return DEFAULT_Z_LIMIT
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"SIGMAC_LIMIT_Z must be an integer, got {env!r}") from None
 
 
 def _check_info_vector(u: Sequence[int], n: int) -> None:
@@ -209,16 +217,38 @@ def tolerates(matrix: SignatureMatrix, t: int, limit: int | None = None) -> bool
     return min_distinguishing_weight(matrix, limit).d_min >= 2 * t + 1
 
 
+def _received_symbol(value, cap: int) -> int:
+    """`value` as an int in [0, cap], or -1 when it equals no such int.
+
+    Every entry of M u lies in [0, cap], so a value outside that range (a
+    negative one, one above cap, a non-integer) matches no candidate, and -1
+    stands for all of them without overflowing a fixed-width array.
+    """
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return -1
+    return whole if whole == value and 0 <= whole <= cap else -1
+
+
 def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
                         limit: int | None = None) -> InfoVector:
     """Return the activity vector u minimizing wt(y - M u).
 
-    Enumerates all 2^n candidates with a Gray-code walk.  When the matrix
-    tolerates t errors and at most t positions were corrupted, the minimizer
-    is unique and equals the transmitted vector.  A tie at the minimum, or a
-    second candidate within distance t, raises AmbiguousDecoding instead of
-    silently picking one.
+    Searches all 2^n candidates by meeting in the middle: with the columns
+    split at h = n // 2, candidate u = (a, b) has weight equal to the number
+    of rows where (y - M_A a) and M_B b differ.  Both halves are tabulated
+    once; the weights are taken a few left halves at a time, in blocks of
+    about DECODE_BLOCK // k candidates.
+    When the matrix tolerates t errors and at most t positions were
+    corrupted, the minimizer is unique and equals the transmitted vector.  A
+    tie at the minimum, or a second candidate within distance t, raises
+    AmbiguousDecoding instead of silently picking one.
     """
+    # Imported here, not with the module: only decoding needs numpy, and its
+    # import costs a fresh process about 0.15 s.
+    import numpy as np
+
     n, k = matrix.n, matrix.k
     if len(y) != k:
         raise ValueError(f"received word length {len(y)} != k = {k}")
@@ -228,34 +258,38 @@ def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
             f"n={n} exceeds the 2^n decoding limit ({budget}); "
             f"raise the limit argument to override"
         )
-    support = _column_support(matrix)
-    u = [0] * n
-    diff = list(y)
-    nonzero = sum(1 for v in diff if v)
-    best = nonzero
-    best_u = tuple(u)
-    ties = 1
-    within_budget = 1 if nonzero <= t else 0
-    for counter in range(1, 1 << n):
-        j = (counter & -counter).bit_length() - 1
-        u[j] ^= 1
-        step = 1 if u[j] else -1
-        for i, v in support[j]:
-            w = diff[i]
-            nv = w - step * v
-            if w == 0:
-                nonzero += 1
-            elif nv == 0:
-                nonzero -= 1
-            diff[i] = nv
-        if nonzero < best:
-            best = nonzero
-            best_u = tuple(u)
-            ties = 1
-        elif nonzero == best:
-            ties += 1
-        if nonzero <= t:
-            within_budget += 1
+
+    def subset_sums(columns):
+        """Row a holds the sum of the columns j whose bit j is set in a."""
+        sums = np.zeros((1, k), dtype=columns.dtype)
+        for column in columns:
+            sums = np.concatenate((sums, sums + column))
+        return sums
+
+    cap = n * (matrix.q - 1)
+    # The narrowest type holding every value below; object (Python ints) when
+    # no fixed width does.
+    dtype = np.min_scalar_type(-1 - cap)
+    columns = np.array(matrix.rows, dtype=dtype).T
+    received = np.array([_received_symbol(v, cap) for v in y], dtype=dtype)
+    h = n // 2
+    left = (received - subset_sums(columns[:h])).T.copy()
+    right = subset_sums(columns[h:]).T.copy()
+    width = right.shape[1]
+    step = max(1, DECODE_BLOCK // (k * width))
+    count_type = np.min_scalar_type(k)
+    best, ties, within_budget, best_index = k + 1, 0, 0, 0
+    for start in range(0, left.shape[1], step):
+        differs = left[:, start:start + step, None] != right[:, None, :]
+        weight = np.add.reduce(differs.view(np.uint8), axis=0, dtype=count_type)
+        index = int(weight.argmin())
+        low = int(weight.flat[index])
+        if low < best:
+            best, ties, best_index = low, 0, start * width + index
+        if low == best:
+            ties += int(np.count_nonzero(weight == low))
+        if t >= 0:
+            within_budget += int(np.count_nonzero(weight <= min(t, k)))
     if ties > 1:
         raise AmbiguousDecoding(
             f"{ties} candidates at minimum distance {best}"
@@ -264,7 +298,8 @@ def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
         raise AmbiguousDecoding(
             f"{within_budget} candidates within the error budget t={t}"
         )
-    return best_u
+    a, b = divmod(best_index, width)
+    return tuple((a >> j) & 1 for j in range(h)) + tuple((b >> j) & 1 for j in range(n - h))
 
 
 @dataclass(frozen=True)

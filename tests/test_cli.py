@@ -211,6 +211,9 @@ MALFORMED = {
     "rs-bit-width": (RS, _set("bit_width", 2), []),
     "kronecker-t-inner": (KRONECKER, _set("t_inner", 3), []),
     "kronecker-outer-distance": (KRONECKER, _set("outer", "D", 7), []),
+    "n-above-limit-u": (TRIVIAL, lambda obj: obj, ["--limit-u", "2"]),
+    "n-above-limit-z": (TRIVIAL, lambda obj: obj,
+                        ["--limit-z", "2", "--error-mode", "worst-case-from-witness"]),
 }
 
 
@@ -225,6 +228,35 @@ def test_simulate_malformed_input_is_usage_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", *TRIVIAL, "--out", "{dir}/t.json"],
+    ["simulate", "--in", "{dir}/t.json", "--rounds", "5"],
+])
+def test_malformed_limit_z_env_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    assert run(["construct", *TRIVIAL, "--out", str(tmp_path / "t.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SIGMAC_LIMIT_Z", "abc")
+    assert run([part.format(dir=tmp_path) for part in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{argv[0]}: SIGMAC_LIMIT_Z must be an integer, got 'abc'"]
+
+
+def test_main_parses_each_call_afresh(tmp_path, capsys):
+    artifact = tmp_path / "rand.json"
+    assert run(["construct", "--method", "random", "--q", "3", "--n", "6",
+                "--t", "1", "--k", "10", "--seed", "3", "--out", str(artifact)]) == 0
+    assert run(["simulate", "--in", str(artifact), "--rounds", "3", "--t", "2"]) in (0, 1)
+    capsys.readouterr()
+    # an argument added to a parser from build_parser() is not one main knows
+    cli.build_parser().add_argument("--extra")
+    assert run(["simulate", "--in", str(artifact), "--rounds", "3"]) == 0
+    assert "t=1 " in capsys.readouterr().out
+    assert run(["simulate", "--in", str(artifact), "--extra", "x"]) == 2
+    capsys.readouterr()
 
 
 def test_bounds_text_single_cell(capsys):
