@@ -249,6 +249,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError, CapacityError) as exc:
         print(f"simulate: cannot load artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    t_from_envelope = False     # t is a plain-matrix envelope's design_t
     if isinstance(artifact, cons.AugmentedCode):
         matrix, default_t = artifact.extended, artifact.t
         decoder = partial(cons.rs_augmented_decode, artifact)
@@ -257,6 +258,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         decoder = partial(cons.kronecker_decode, artifact)
     else:
         matrix, default_t = artifact, obj.get("design_t", 0)
+        t_from_envelope = "design_t" in obj and args.t is None
         limit_u = core.DEFAULT_U_LIMIT if args.limit_u is None else args.limit_u
         if matrix.n > limit_u:
             print(f"simulate: n={matrix.n} exceeds the 2^n decoding limit ({limit_u}); "
@@ -274,6 +276,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             witness = core.adversarial_witness(matrix, t, limit_z)
         except CapacityError as exc:
             print(f"simulate: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if witness is not None and t_from_envelope:
+            print(f"simulate: the matrix does not tolerate the artifact's design_t = {t}",
+                  file=sys.stderr)
             return EXIT_USAGE
     failures = 0
     for index in range(args.rounds):

@@ -359,6 +359,10 @@ class KroneckerCode:
         self.t_inner = t_inner
         self.eps1 = eps1
         self.eps2 = eps2
+        # Each bit pattern of a user block with its image under M.
+        self._images = [(bits, tuple(sum(v for v, bit in zip(row, bits) if bit)
+                                     for row in inner.rows))
+                        for bits in product((0, 1), repeat=inner.n)]
 
     @property
     def p(self) -> int:
@@ -475,18 +479,13 @@ def kronecker_decode(code: KroneckerCode, b: Sequence[int]) -> InfoVector:
     for i in range(p):
         segment = [b[a * p + i] for a in range(n_outer)]
         lifted.append(integer_lift_decode(code.outer, segment, w_max))
-    inner_rows = code.inner.rows
-    images = []
-    for bits in product((0, 1), repeat=s):
-        images.append((bits, tuple(sum(row[c] for c in range(s) if bits[c])
-                                   for row in inner_rows)))
     result: list[int] = []
     for j in range(r):
         target = tuple(lifted[i][j] for i in range(p))
         best_bits = None
         best_dist = p + 1
         tie = False
-        for bits, image in images:
+        for bits, image in code._images:
             dist = sum(1 for x, y in zip(target, image) if x != y)
             if dist < best_dist:
                 best_bits, best_dist, tie = bits, dist, False
@@ -539,5 +538,16 @@ def load_artifact(obj: dict):
     if kind == "kronecker":
         return KroneckerCode.from_json(obj)
     if kind in ("matrix", "trivial", "noiseless", "random"):
-        return SignatureMatrix.from_json(obj["matrix"] if "matrix" in obj else obj)
+        matrix = SignatureMatrix.from_json(obj["matrix"] if "matrix" in obj else obj)
+        if "design_t" in obj:
+            # Only the file vouches for a plain matrix's budget; a simulate in
+            # worst-case mode also checks it against the verifier's witness.
+            t, d_min = obj["design_t"], obj.get("d_min")
+            if type(t) is not int or not 0 <= t <= matrix.k:
+                raise ValueError(f"design_t {t!r} is not an int in [0, k = {matrix.k}]")
+            if d_min is not None and type(d_min) is not int:
+                raise ValueError(f"d_min {d_min!r} is not an int")
+            if d_min is not None and d_min < 2 * t + 1:
+                raise ValueError(f"d_min {d_min} is below 2 * design_t + 1 = {2 * t + 1}")
+        return matrix
     raise ValueError(f"unknown artifact kind {kind!r}")

@@ -2,10 +2,10 @@
 
 The RS codec is systematic over a prime field F_p with evaluation points
 0..n-1: the first k points carry the message, the parities are the
-interpolating polynomial's values at the remaining points.  Decoding is
-Berlekamp-Welch rational interpolation; an independent brute-force
-nearest-codeword path exists for small codes so the two can be checked
-against each other.
+interpolating polynomial's values at the remaining points.  Decoding is by
+syndromes against parity checks the codec builds once; an independent
+brute-force nearest-codeword path exists for small codes so the two can be
+checked against each other.
 
 The binary side provides [N, K, D] codes with exactly verified minimum
 distance (exhaustive over the 2^K codewords at desk scale), a half-distance
@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -66,72 +67,24 @@ class PrimeField:
         return pow(x, self.p - 2, self.p)
 
 
-def _poly_eval(coeffs: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+def _solve_mod(rows: list[list[int]], p: int) -> list[int] | None:
+    """Solution of a square system over F_p given as augmented rows, or None if singular.
 
-
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of polynomials with ascending coefficients."""
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = [c % p for c in num]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    inv_lead = pow(den[-1], p - 2, p)
-    quot = [0] * max(len(rem) - len(den) + 1, 0)
-    while len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        factor = (rem[-1] * inv_lead) % p
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quot, rem
-
-
-def _nullspace_vector(rows: list[list[int]], ncols: int, p: int) -> list[int] | None:
-    """Some nonzero kernel vector of the row system, or None if full rank."""
-    rows = [r[:] for r in rows]
-    pivot_cols: list[int] = []
-    rank = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        base = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = [(ri[j] - f * base[j]) % p for j in range(ncols)]
-        pivot_cols.append(c)
-        rank += 1
-        if rank == len(rows):
-            break
-    in_pivots = set(pivot_cols)
-    free = [c for c in range(ncols) if c not in in_pivots]
-    if not free:
-        return None
-    sol = [0] * ncols
-    f0 = free[0]
-    sol[f0] = 1
-    for i, c in enumerate(pivot_cols):
-        sol[c] = (-rows[i][f0]) % p
-    return sol
+    The rows are reduced in place.
+    """
+    size = len(rows)
+    for c in range(size):
+        pivot = next((i for i in range(c, size) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        base = rows[c] = [v * inv % p for v in rows[c]]
+        for i in range(size):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], base)]
+    return [row[size] for row in rows]
 
 
 class RSCodec:
@@ -166,10 +119,18 @@ class RSCodec:
                         num = (num * (xp - m)) % p
                 vals.append((num * inv_denom) % p)
             self._parity_matrix.append(vals)
-        # x_i^l table for the Berlekamp-Welch system.
-        max_deg = max((n_rs - k_rs) // 2 + k_rs - 1, (n_rs - k_rs) // 2, 0)
-        self._powers = [[pow(x, l, p) for l in range(max_deg + 1)]
-                        for x in range(n_rs)]
+        # Parity checks: sum_i v_i x_i^l c_i = 0 for l < n_rs - k_rs, where
+        # v_i = 1 / prod_{j != i} (x_i - x_j), because sum_i v_i g(x_i) is the
+        # leading coefficient of g's interpolant, 0 whenever deg g <= n_rs - 2.
+        weights = []
+        for i in range(n_rs):
+            denom = 1
+            for j in range(n_rs):
+                if j != i:
+                    denom = (denom * (i - j)) % p
+            weights.append(pow(denom, p - 2, p))
+        self._checks = [[v * pow(x, l, p) % p for x, v in enumerate(weights)]
+                        for l in range(n_rs - k_rs)]
 
     @property
     def d_rs(self) -> int:
@@ -184,6 +145,11 @@ class RSCodec:
         for v in vec:
             if not 0 <= v < p:
                 raise ValueError(f"element {v} outside F_{p}")
+
+    def _syndromes(self, word: Sequence[int]) -> list[int]:
+        """One value per parity check; all zero exactly for codewords."""
+        p = self.field.p
+        return [sum(h * c for h, c in zip(row, word)) % p for row in self._checks]
 
 
 def rs_encode(codec: RSCodec, message: Sequence[int]) -> list[int]:
@@ -203,44 +169,54 @@ def rs_encode(codec: RSCodec, message: Sequence[int]) -> list[int]:
 
 
 def rs_decode(codec: RSCodec, received: Sequence[int]) -> list[int]:
-    """Berlekamp-Welch decoding of up to floor((n_rs - k_rs)/2) symbol errors.
+    """Syndrome decoding of up to t = floor((n_rs - k_rs)/2) symbol errors.
 
-    Finds polynomials Q (deg <= t + k - 1) and E (deg <= t, nonzero) with
-    Q(x_i) = r_i E(x_i) at every point, divides, and verifies the resulting
-    codeword lies within the radius.  Raises DecodingFailure otherwise.
+    Peterson-Gorenstein-Zierler: for r = c + e the syndromes are
+    S_l = sum over error positions j of v_j e_j x_j^l.  The error locator
+    sigma(z) = prod_j (z - x_j), monic of degree nu, satisfies
+    sum_m sigma_m S_(l+m) = 0 for every l, and the nu x nu Hankel matrix
+    (S_(l+m)) is nonsingular when nu is the number of errors and singular
+    above it.  The largest nonsingular nu <= t gives the locator, whose roots
+    among the evaluation points (0 included) are the error positions; the
+    first nu parity checks then give the error values.  The corrected word
+    is returned only if it passes every parity check, so the answer is the
+    unique codeword within the radius; DecodingFailure is raised when there
+    is none.
     """
     n, k = codec.n_rs, codec.k_rs
     if len(received) != n:
         raise ValueError(f"received length {len(received)} != n_rs = {n}")
     codec._check_elements(received)
     p = codec.field.p
-    t = codec.radius
-    nq = t + k          # number of Q coefficients
-    ncols = nq + t + 1
-    rows = []
-    for i in range(n):
-        pw = codec._powers[i]
-        r = received[i]
-        row = [pw[l] for l in range(nq)]
-        row += [(-r * pw[l]) % p for l in range(t + 1)]
-        rows.append(row)
-    sol = _nullspace_vector(rows, ncols, p)
-    if sol is None:
-        raise DecodingFailure("no rational interpolation exists")
-    q_poly = sol[:nq]
-    e_poly = sol[nq:]
-    if not any(e_poly):
-        raise DecodingFailure("degenerate error locator")
-    f_poly, rem = _poly_divmod(q_poly, e_poly, p)
-    if any(rem):
-        raise DecodingFailure("interpolation ratio is not a polynomial")
-    if len(f_poly) > k:
-        raise DecodingFailure("message polynomial degree too large")
-    codeword = [_poly_eval(f_poly, x, p) for x in range(n)]
-    mismatches = sum(1 for a, b in zip(received, codeword) if a != b)
-    if mismatches > t:
-        raise DecodingFailure(f"{mismatches} mismatches exceed radius {t}")
-    return codeword[:k]
+    syndromes = codec._syndromes(received)
+    if not any(syndromes):
+        return list(received[:k])
+    for nu in range(codec.radius, 0, -1):
+        locator = _solve_mod([syndromes[l:l + nu] + [-syndromes[l + nu] % p]
+                              for l in range(nu)], p)
+        if locator is not None:
+            break
+    else:
+        raise DecodingFailure("no error locator of degree at most the radius fits the syndromes")
+    locator.append(1)
+    positions = []
+    for x in range(n):
+        acc = 0
+        for c in reversed(locator):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            positions.append(x)
+    if len(positions) != nu:
+        raise DecodingFailure(
+            f"error locator of degree {nu} has {len(positions)} roots among the evaluation points")
+    values = _solve_mod([[codec._checks[l][j] for j in positions] + [syndromes[l]]
+                         for l in range(nu)], p)
+    corrected = list(received)
+    for j, e in zip(positions, values):
+        corrected[j] = (corrected[j] - e) % p
+    if any(codec._syndromes(corrected)):
+        raise DecodingFailure(f"word corrected at {nu} positions fails the parity checks")
+    return corrected[:k]
 
 
 def rs_decode_bruteforce(codec: RSCodec, received: Sequence[int],
@@ -293,11 +269,17 @@ class BinaryLinearCode:
     def K(self) -> int:
         return len(self.generator)
 
-    def _row_masks(self) -> list[int]:
-        return [sum(bit << i for i, bit in enumerate(row)) for row in self.generator]
+    @cached_property
+    def _row_masks(self) -> tuple[int, ...]:
+        return tuple(sum(bit << i for i, bit in enumerate(row)) for row in self.generator)
+
+    @cached_property
+    def _nearest(self) -> dict[int, tuple[tuple[int, ...], int, int, bool]]:
+        """_nearest_codeword's answers by received bit mask, as decoding meets them."""
+        return {}
 
     def rank(self) -> int:
-        masks = [m for m in self._row_masks() if m]
+        masks = [m for m in self._row_masks if m]
         rank = 0
         for _ in range(len(masks)):
             if not masks:
@@ -314,7 +296,7 @@ class BinaryLinearCode:
         """Exact minimum distance by Gray-code enumeration of all codewords."""
         if self.K > max_k:
             raise ValueError(f"K={self.K} too large for exhaustive distance")
-        masks = self._row_masks()
+        masks = self._row_masks
         cw = 0
         best = self.N + 1
         for counter in range(1, 1 << self.K):
@@ -406,10 +388,16 @@ def build_outer_code(r: int, epsilon2, seed: int = 0,
 
 
 def _nearest_codeword(code: BinaryLinearCode,
-                      bits: Sequence[int]) -> tuple[tuple[int, ...], int, int, bool]:
-    """(message, codeword mask, distance, tie?) of the closest codeword."""
-    target = sum((1 if b else 0) << i for i, b in enumerate(bits))
-    masks = code._row_masks()
+                      target: int) -> tuple[tuple[int, ...], int, int, bool]:
+    """(message, codeword mask, distance, tie?) of the closest codeword to a bit mask.
+
+    The first codeword at the least distance in Gray-code order wins.  Each
+    mask is walked once per code object; later calls read code._nearest.
+    """
+    known = code._nearest.get(target)
+    if known is not None:
+        return known
+    masks = code._row_masks
     msg = [0] * code.K
     cw = 0
     best_msg = tuple(msg)
@@ -425,7 +413,8 @@ def _nearest_codeword(code: BinaryLinearCode,
             best_msg, best_cw, best_dist, tie = tuple(msg), cw, dist, False
         elif dist == best_dist:
             tie = True
-    return best_msg, best_cw, best_dist, tie
+    answer = code._nearest[target] = (best_msg, best_cw, best_dist, tie)
+    return answer
 
 
 def binary_half_distance_decode(code: BinaryLinearCode,
@@ -433,7 +422,8 @@ def binary_half_distance_decode(code: BinaryLinearCode,
     """Nearest codeword by brute force; raises AmbiguousDecoding on a tie."""
     if len(bits) != code.N:
         raise ValueError(f"word length {len(bits)} != N = {code.N}")
-    _, cw, dist, tie = _nearest_codeword(code, bits)
+    target = sum((1 if b else 0) << i for i, b in enumerate(bits))
+    _, cw, dist, tie = _nearest_codeword(code, target)
     if tie:
         raise AmbiguousDecoding(f"tie at distance {dist}: outside decoding radius")
     return tuple((cw >> i) & 1 for i in range(code.N))
@@ -459,11 +449,14 @@ def integer_lift_decode(code: BinaryLinearCode, y: Sequence[int],
     values = list(y)
     w = [0] * code.K
     for plane in range(w_max.bit_length()):
-        bits = [v & 1 for v in values]
-        msg, _, _, _ = _nearest_codeword(code, bits)
+        target = sum((v & 1) << i for i, v in enumerate(values))
+        msg, _, _, _ = _nearest_codeword(code, target)
         active = [j for j in range(code.K) if msg[j]]
         for j in active:
             w[j] += 1 << plane
-        values = [(values[i] - sum(gen[j][i] for j in active)) >> 1
-                  for i in range(code.N)]
+        if active:
+            image = map(sum, zip(*(gen[j] for j in active)))
+            values = [(v - g) >> 1 for v, g in zip(values, image)]
+        else:
+            values = [v >> 1 for v in values]
     return tuple(w)

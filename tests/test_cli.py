@@ -133,6 +133,24 @@ def test_simulate_worst_case_walks_once(tmp_path, walks, capsys):
     capsys.readouterr()
 
 
+def test_simulate_checks_stated_design_t_with_the_one_walk(tmp_path, walks, capsys):
+    artifact = tmp_path / "rand.json"
+    assert run(["construct", *RANDOM, "--out", str(artifact)]) == 0
+    obj = json.loads(artifact.read_text())
+    obj["design_t"], obj["d_min"] = 3, None
+    artifact.write_text(json.dumps(obj))
+    walks.clear()
+    assert run(["simulate", "--in", str(artifact), "--rounds", "3",
+                "--error-mode", "worst-case-from-witness"]) == 2
+    assert len(walks) == 1
+    # random mode does not walk, and an explicit --t is the caller's budget
+    assert run(["simulate", "--in", str(artifact), "--rounds", "3"]) in (0, 1)
+    assert run(["simulate", "--in", str(artifact), "--rounds", "3", "--t", "1",
+                "--error-mode", "worst-case-from-witness"]) == 0
+    assert len(walks) == 2
+    capsys.readouterr()
+
+
 def test_construct_kronecker_and_simulate(tmp_path, capsys):
     artifact = tmp_path / "kron.json"
     assert run(["construct", "--method", "kronecker", "--q", "3",
@@ -185,6 +203,8 @@ def test_simulate_missing_artifact(capsys):
 
 TRIVIAL = ["--method", "trivial", "--n", "3"]
 RS = ["--method", "rs-augment", "--n", "4", "--t", "1"]
+RANDOM = ["--method", "random", "--q", "3", "--n", "8", "--t", "1", "--k", "12",
+          "--seed", "7"]                            # d_min 5
 KRONECKER = ["--method", "kronecker", "--q", "3", "--epsilon", "1/16", "--p", "3",
              "--s", "2", "--r", "1", "--outer", "repetition", "--c1", "6",
              "--inner-t", "1"]
@@ -214,6 +234,12 @@ MALFORMED = {
     "n-above-limit-u": (TRIVIAL, lambda obj: obj, ["--limit-u", "2"]),
     "n-above-limit-z": (TRIVIAL, lambda obj: obj,
                         ["--limit-z", "2", "--error-mode", "worst-case-from-witness"]),
+    "design-t-not-int": (RANDOM, _set("design_t", "1"), ["--t", "1"]),
+    "design-t-above-k": (RANDOM, _set("design_t", 13), ["--t", "1"]),
+    "d-min-below-design-t": (RANDOM, _set("design_t", 3), []),
+    "d-min-not-int": (RANDOM, _set("d_min", "5"), []),
+    "design-t-not-tolerated": (RANDOM, lambda obj: _set("d_min", None)(_set("design_t", 3)(obj)),
+                               ["--error-mode", "worst-case-from-witness"]),
 }
 
 

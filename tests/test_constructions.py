@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sigmac import constructions as cons
 from sigmac.bounds import ConstantT, LinearTau, max_correctable_fraction
@@ -19,7 +21,7 @@ from sigmac.core import (
     tolerates,
 )
 from sigmac.errors import ConstructionFailure
-from sigmac.linear import repetition_code
+from sigmac.linear import BinaryLinearCode, repetition_code
 
 
 def test_construct_trivial():
@@ -375,3 +377,96 @@ def test_load_artifact_dispatch():
     assert cons.load_artifact(env) == matrix
     with pytest.raises(ValueError):
         cons.load_artifact({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("design_t, d_min, message", [
+    (1.0, 3, "design_t 1.0 is not an int in [0, k = 2]"),
+    (3, None, "design_t 3 is not an int in [0, k = 2]"),
+    (1, 3.0, "d_min 3.0 is not an int"),
+    (1, 2, "d_min 2 is below 2 * design_t + 1 = 3"),
+])
+def test_load_artifact_checks_a_stated_design_t(design_t, d_min, message):
+    env = {"kind": "random", "matrix": cons.construct_trivial(2).to_json(),
+           "design_t": design_t, "d_min": d_min}
+    with pytest.raises(ValueError) as info:
+        cons.load_artifact(env)
+    assert str(info.value) == message
+    env["design_t"], env["d_min"] = 0, 1
+    assert cons.load_artifact(env) == cons.construct_trivial(2)
+
+
+# -- each family's decoder against minimum-distance decoding -----------------
+
+def matrices(q, max_k, max_n):
+    """Strategy: a q-ary matrix of at most max_k x max_n."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, q - 1)] * n), min_size=1, max_size=max_k)
+    ).map(lambda rows: SignatureMatrix(q=q, rows=tuple(rows)))
+
+
+@st.composite
+def corrupted(draw, matrix, budget):
+    """(transmitted u, M u plus an error of weight <= budget)."""
+    u = tuple(draw(st.lists(st.integers(0, 1), min_size=matrix.n, max_size=matrix.n)))
+    most = min(budget, matrix.k)
+    weight = most - draw(st.integers(0, most))      # the full budget is drawn first
+    positions = draw(st.permutations(range(matrix.k)))[:weight]
+    values = st.one_of(st.integers(1, 40), st.integers(-40, -1),
+                       st.sampled_from([-10**12, 10**12]))
+    return u, apply_errors(encode(matrix, u), {pos: draw(values) for pos in positions})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rs_augmented_decode_is_min_distance_decoding(data):
+    q = data.draw(st.integers(2, 3))
+    base = data.draw(st.one_of(st.integers(1, 5).map(cons.construct_trivial),
+                               matrices(q, 4, 4)))
+    assume(min_distinguishing_weight(base).d_min >= 1)   # noiseless-decodable
+    t = data.draw(st.integers(1, 2))
+    code = cons.rs_augment(base, t)
+    u, y = data.draw(corrupted(code.extended, t))
+    assert cons.rs_augmented_decode(code, y) == decode_min_distance(y, code.extended, t) == u
+
+
+def with_true_distance(generator):
+    code = BinaryLinearCode(generator=tuple(generator), design_distance=1)
+    return BinaryLinearCode(generator=code.generator, design_distance=code.min_distance())
+
+
+@st.composite
+def random_outer_codes(draw):
+    """A full-rank binary code with K <= 2, its design distance its true distance."""
+    n_bits = 6 - draw(st.integers(0, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n_bits), min_size=1, max_size=2))
+    code = with_true_distance(rows)
+    assume(code.rank() == code.K)
+    return code
+
+
+# Outer codes of distance 3 to 6, so that budgets reach 3 to 5.
+OUTER_CODES = (
+    repetition_code(6),
+    with_true_distance([(1, 1, 1, 1, 0, 0), (0, 0, 1, 1, 1, 1)]),
+    with_true_distance([(1, 1, 1, 0, 0), (0, 0, 1, 1, 1)]),
+    with_true_distance([(1, 1, 0, 1, 0, 0), (0, 1, 1, 0, 1, 0), (1, 0, 1, 0, 0, 1)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kronecker_decode_is_min_distance_decoding(data):
+    q = data.draw(st.integers(2, 3))
+    # (p, s, q) shapes for which the search finds d_min >= 3, so t_inner = 1
+    searched = st.sampled_from([(3, 2, 3), (3, 1, 2), (5, 2, 2)]).map(
+        lambda shape: cons.find_inner_matrix(*shape, t_inner=1).matrix)
+    inner = data.draw(st.one_of(searched, matrices(q, 4, 3)))
+    d_inner = min_distinguishing_weight(inner).d_min
+    assume(d_inner >= 1)
+    outer = data.draw(st.one_of(st.sampled_from(OUTER_CODES), random_outer_codes(),
+                                st.integers(1, 5).map(repetition_code)))
+    t_inner = data.draw(st.integers(0, (d_inner - 1) // 2).map(lambda t: (d_inner - 1) // 2 - t))
+    code = cons.kronecker_compose(outer, inner, t_inner=t_inner)
+    budget = code.certified_budget
+    u, y = data.draw(corrupted(code.composed, budget))
+    assert cons.kronecker_decode(code, y) == decode_min_distance(y, code.composed, budget) == u

@@ -6,11 +6,14 @@ from itertools import combinations, product
 
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sigmac.core import dumps_canonical
 from sigmac.errors import AmbiguousDecoding, DecodingFailure
 from sigmac.linear import (
     BinaryLinearCode,
+    _nearest_codeword,
     PrimeField,
     RSCodec,
     binary_half_distance_decode,
@@ -122,6 +125,190 @@ def test_rs_decode_agrees_with_bruteforce():
             for pos in rng.sample(range(n), codec.radius):
                 word[pos] = (word[pos] + rng.randint(1, p - 1)) % p
             assert rs_decode(codec, word) == rs_decode_bruteforce(codec, word) == msg
+
+
+# -- Berlekamp-Welch, the decoder rs_decode replaced, kept as its oracle ----
+
+def _poly_eval(coeffs, x, p):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _poly_divmod(num, den, p):
+    """Quotient and remainder of polynomials with ascending coefficients."""
+    den = list(den)
+    while den and den[-1] == 0:
+        den.pop()
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = [c % p for c in num]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    inv_lead = pow(den[-1], p - 2, p)
+    quot = [0] * max(len(rem) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        shift = len(rem) - len(den)
+        factor = (rem[-1] * inv_lead) % p
+        quot[shift] = factor
+        for i, c in enumerate(den):
+            rem[shift + i] = (rem[shift + i] - factor * c) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def _nullspace_vector(rows, ncols, p):
+    """Some nonzero kernel vector of the row system, or None if full rank."""
+    rows = [r[:] for r in rows]
+    pivot_cols = []
+    rank = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        base = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                ri = rows[i]
+                rows[i] = [(ri[j] - f * base[j]) % p for j in range(ncols)]
+        pivot_cols.append(c)
+        rank += 1
+        if rank == len(rows):
+            break
+    in_pivots = set(pivot_cols)
+    free = [c for c in range(ncols) if c not in in_pivots]
+    if not free:
+        return None
+    sol = [0] * ncols
+    f0 = free[0]
+    sol[f0] = 1
+    for i, c in enumerate(pivot_cols):
+        sol[c] = (-rows[i][f0]) % p
+    return sol
+
+
+def berlekamp_welch_decode(codec, received):
+    """Berlekamp-Welch decoding of up to floor((n_rs - k_rs)/2) symbol errors.
+
+    Finds polynomials Q (deg <= t + k - 1) and E (deg <= t, nonzero) with
+    Q(x_i) = r_i E(x_i) at every point, divides, and verifies the resulting
+    codeword lies within the radius.  Raises DecodingFailure otherwise.
+    """
+    n, k = codec.n_rs, codec.k_rs
+    if len(received) != n:
+        raise ValueError(f"received length {len(received)} != n_rs = {n}")
+    codec._check_elements(received)
+    p = codec.field.p
+    t = codec.radius
+    # x_i^l table for the Berlekamp-Welch system.
+    max_deg = max(t + k - 1, t, 0)
+    powers = [[pow(x, l, p) for l in range(max_deg + 1)] for x in range(n)]
+    nq = t + k          # number of Q coefficients
+    ncols = nq + t + 1
+    rows = []
+    for i in range(n):
+        pw = powers[i]
+        r = received[i]
+        row = [pw[l] for l in range(nq)]
+        row += [(-r * pw[l]) % p for l in range(t + 1)]
+        rows.append(row)
+    sol = _nullspace_vector(rows, ncols, p)
+    if sol is None:
+        raise DecodingFailure("no rational interpolation exists")
+    q_poly = sol[:nq]
+    e_poly = sol[nq:]
+    if not any(e_poly):
+        raise DecodingFailure("degenerate error locator")
+    f_poly, rem = _poly_divmod(q_poly, e_poly, p)
+    if any(rem):
+        raise DecodingFailure("interpolation ratio is not a polynomial")
+    if len(f_poly) > k:
+        raise DecodingFailure("message polynomial degree too large")
+    codeword = [_poly_eval(f_poly, x, p) for x in range(n)]
+    mismatches = sum(1 for a, b in zip(received, codeword) if a != b)
+    if mismatches > t:
+        raise DecodingFailure(f"{mismatches} mismatches exceed radius {t}")
+    return codeword[:k]
+
+
+def outcome(decode, *args):
+    """What a decoder returns, or the type of the decoding error it raises."""
+    try:
+        return decode(*args)
+    except (AmbiguousDecoding, DecodingFailure) as exc:
+        return type(exc)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@st.composite
+def rs_cases(draw):
+    """(codec, received): a codeword with up to radius + 2 symbols changed.
+
+    n_rs - k_rs runs over 0..7, so the radius over 0..3 with both parities
+    of the redundancy; position 0 (evaluation point 0) is hit as often as
+    any other, and a word with no change has all syndromes zero.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    redundancy = draw(st.integers(0, min(7, p - 1)))
+    k = draw(st.integers(1, p - redundancy))
+    codec = RSCodec(PrimeField(p), n_rs=k + redundancy, k_rs=k)
+    word = rs_encode(codec, draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)))
+    positions = draw(st.lists(st.integers(0, codec.n_rs - 1), unique=True,
+                              max_size=codec.radius + 2))
+    for pos in positions:
+        word[pos] = (word[pos] + draw(st.integers(1, p - 1))) % p
+    return codec, word
+
+
+def _codec(p, n, k):
+    return RSCodec(PrimeField(p), n_rs=n, k_rs=k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=rs_cases())
+@example(case=(_codec(11, 9, 5), [3, 0, 0, 0, 0, 0, 0, 0, 0]))      # one error at point 0
+@example(case=(_codec(11, 9, 5), [3, 4, 0, 0, 0, 0, 0, 0, 0]))      # two, one at point 0
+@example(case=(_codec(13, 12, 8), rs_encode(_codec(13, 12, 8), [1, 2, 3, 4, 5, 6, 7, 8])))
+@example(case=(_codec(7, 7, 2), [0, 0, 0, 1, 2, 0, 0]))            # odd n - k
+@example(case=(_codec(5, 5, 5), [1, 2, 3, 4, 0]))                  # radius 0, no checks
+@example(case=(_codec(5, 5, 4), [1, 0, 0, 0, 0]))                  # radius 0, one check
+@example(case=(_codec(5, 4, 1), [0, 0, 1, 2]))        # located and corrected, not a codeword
+@example(case=(_codec(5, 5, 1), [0, 0, 1, 2, 3]))     # the same with n - k even
+def test_rs_decode_matches_berlekamp_welch(case):
+    codec, word = case
+    assert outcome(rs_decode, codec, word) == outcome(berlekamp_welch_decode, codec, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=rs_cases())
+@example(case=(_codec(11, 9, 3), [5, 0, 0, 0, 0, 0, 0, 0, 0]))
+@example(case=(_codec(23, 9, 3), [1, 1, 1, 1, 0, 0, 0, 0, 0]))     # radius + 1 errors
+@example(case=(_codec(5, 5, 1), [0, 0, 1, 2, 3]))
+def test_rs_decode_matches_bruteforce(case):
+    codec, word = case
+    assume(codec.field.p ** codec.k_rs <= 200_000)
+    got = outcome(rs_decode, codec, word)
+    assert got == outcome(berlekamp_welch_decode, codec, word)
+    nearest = outcome(rs_decode_bruteforce, codec, word)
+    if got is DecodingFailure:
+        # no codeword within the radius: the nearest one, if unique, is farther
+        if nearest is not DecodingFailure:
+            codeword = rs_encode(codec, nearest)
+            assert sum(a != b for a, b in zip(codeword, word)) > codec.radius
+    else:
+        assert nearest == got
 
 
 def test_rs_decode_beyond_radius_flags_or_misdecodes():
@@ -278,6 +465,28 @@ def test_integer_lift_exhaustive_small_grid():
         if index % 64 == 0:
             oracle, tie = lift_bruteforce(code, y, 7)
             assert not tie and oracle == w
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_memoised_lift_matches_a_fresh_one(data):
+    n_bits = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * n_bits), min_size=1, max_size=3))
+    code = BinaryLinearCode(generator=tuple(rows), design_distance=1)
+    w_max = data.draw(st.integers(0, 7))
+    words = data.draw(st.lists(st.lists(st.integers(-3, 3 * w_max + 3), min_size=n_bits,
+                                        max_size=n_bits), max_size=30))
+    for y in words + words:
+        fresh = BinaryLinearCode(generator=code.generator, design_distance=1)
+        assert integer_lift_decode(code, y, w_max) == integer_lift_decode(fresh, y, w_max)
+    # every bit pattern, ties included, in a drawn order, after the lifts above
+    for target in data.draw(st.permutations(range(1 << n_bits))):
+        fresh = BinaryLinearCode(generator=code.generator, design_distance=1)
+        assert _nearest_codeword(code, target) == _nearest_codeword(fresh, target)
+        bits = [(target >> i) & 1 for i in range(n_bits)]
+        assert (outcome(binary_half_distance_decode, code, bits)
+                == outcome(binary_half_distance_decode, fresh, bits))
+    assert len(code._nearest) == 1 << n_bits
 
 
 def test_integer_lift_validation():
