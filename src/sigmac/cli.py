@@ -16,7 +16,6 @@ import math
 import random
 import sys
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -195,11 +194,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.method != "kronecker" and not args.n:
             raise ValueError("--n is required")
         if args.method == "trivial":
-            matrix = cons.construct_trivial(args.n)
-            envelope = {"kind": "trivial", "matrix": matrix.to_json(), "design_t": 0}
+            code = cons.PlainCode(cons.construct_trivial(args.n), 0, {"kind": "trivial"})
         elif args.method == "rs-augment":
             code = cons.rs_augment(cons.construct_trivial(args.n), args.t)
-            matrix, envelope = code.extended, code.to_json()
         elif args.method == "random":
             t, k = args.t, args.k
             if args.tau is not None:
@@ -207,10 +204,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
                     args.n, args.q, bounds_mod.LinearTau(args.tau))
                 k = plan.k if k is None else k
                 t = math.floor(args.tau * k)
-            result = cons.construct_random(args.n, args.q, t, args.seed,
-                                           max_attempts=args.max_attempts,
-                                           k_override=k, limit=limit)
-            matrix, envelope = result.matrix, result.to_json()
+            code = cons.construct_random(args.n, args.q, t, args.seed,
+                                         max_attempts=args.max_attempts,
+                                         k_override=k, limit=limit)
         else:  # kronecker
             if args.epsilon is None or not (args.p and args.s and args.r):
                 raise ValueError("kronecker needs --epsilon, --p, --s, --r")
@@ -218,7 +214,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
                                         args.r, seed=args.seed,
                                         outer_kind=args.outer,
                                         t_inner=args.inner_t, c1=args.c1)
-            matrix, envelope = code.composed, code.to_json()
     except ConstructionFailure as exc:
         print(f"construction failed after {exc.attempts} attempts: {exc}",
               file=sys.stderr)
@@ -226,7 +221,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except (ValueError, SigmacError) as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    envelope["seed"] = args.seed
+    matrix, envelope = code.matrix, {**code.to_json(), "seed": args.seed}
     # A random envelope carries d_min from the walk that accepted its matrix.
     if "d_min" not in envelope:
         envelope["d_min"] = (core.min_distinguishing_weight(matrix, limit).d_min
@@ -244,29 +239,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        obj = json.loads(Path(args.artifact).read_text())
-        artifact = cons.load_artifact(obj)
-    except (OSError, ValueError, KeyError, TypeError, CapacityError) as exc:
+        code = cons.load_artifact(json.loads(Path(args.artifact).read_text()))
+    except (OSError, ValueError, CapacityError) as exc:
         print(f"simulate: cannot load artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    t_from_envelope = False     # t is a plain-matrix envelope's design_t
-    if isinstance(artifact, cons.AugmentedCode):
-        matrix, default_t = artifact.extended, artifact.t
-        decoder = partial(cons.rs_augmented_decode, artifact)
-    elif isinstance(artifact, cons.KroneckerCode):
-        matrix, default_t = artifact.composed, artifact.certified_budget
-        decoder = partial(cons.kronecker_decode, artifact)
-    else:
-        matrix, default_t = artifact, obj.get("design_t", 0)
-        t_from_envelope = "design_t" in obj and args.t is None
-        limit_u = core.DEFAULT_U_LIMIT if args.limit_u is None else args.limit_u
-        if matrix.n > limit_u:
-            print(f"simulate: n={matrix.n} exceeds the 2^n decoding limit ({limit_u}); "
-                  f"raise --limit-u to override", file=sys.stderr)
-            return EXIT_USAGE
-        decoder = lambda y: core.decode_min_distance(y, matrix, t, limit_u)
-    t = args.t if args.t is not None else default_t
-    if type(t) is not int or not 0 <= t <= matrix.k or args.rounds < 0:
+    matrix = code.matrix
+    t = code.design_t if args.t is None else args.t
+    try:
+        decoder = code.decoder(t, args.limit_u)
+    except CapacityError as exc:
+        print(f"simulate: {exc}; raise --limit-u to override", file=sys.stderr)
+        return EXIT_USAGE
+    if not 0 <= t <= matrix.k or args.rounds < 0:
         print(f"simulate: need 0 <= t <= k = {matrix.k} and --rounds >= 0",
               file=sys.stderr)
         return EXIT_USAGE
@@ -277,7 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except CapacityError as exc:
             print(f"simulate: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if witness is not None and t_from_envelope:
+        if witness is not None and args.t is None:
             print(f"simulate: the matrix does not tolerate the artifact's design_t = {t}",
                   file=sys.stderr)
             return EXIT_USAGE

@@ -16,8 +16,10 @@ Three families, in increasing ambition:
   inner row through the outer code (bit-plane decoding), then fixes the at
   most t_inner untrusted rows by exhaustive search per block of users.
 
-Every constructed artifact is (de)serializable to canonical JSON together
-with all parameters, so the matched decoder can be rebuilt from file alone.
+Every family, and PlainCode for a plain matrix, has the same members:
+`matrix` (the k x n channel matrix), `design_t` (its error budget),
+`decoder(t, limit_u)` (the matched per-word decoder) and `to_json` /
+`from_json`, whose envelope holds every parameter the code is rebuilt from.
 """
 
 from __future__ import annotations
@@ -26,18 +28,21 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
 from .bounds import ConstantT, TMode, achievable_random, max_correctable_fraction
 from .core import (
+    DEFAULT_U_LIMIT,
     InfoVector,
     SignatureMatrix,
     decode_min_distance,
     derive_seed,
+    dumps_canonical,
     min_distinguishing_weight,
 )
-from .errors import AmbiguousDecoding, ConstructionFailure, DecodingFailure
+from .errors import AmbiguousDecoding, CapacityError, ConstructionFailure, DecodingFailure
 from .linear import (
     BinaryLinearCode,
     PrimeField,
@@ -63,39 +68,102 @@ def construct_trivial(n: int) -> SignatureMatrix:
     return SignatureMatrix(q=2, rows=rows)
 
 
+def _check_decode_limit(n: int, limit_u: int | None) -> None:
+    """Raise CapacityError when a 2^n minimum-distance search exceeds limit_u."""
+    budget = DEFAULT_U_LIMIT if limit_u is None else limit_u
+    if n > budget:
+        raise CapacityError(f"n={n} exceeds the 2^n decoding limit ({budget})")
+
+
+def _as_stated(code, obj: dict):
+    """`code`, if its envelope equals `obj` on every key it writes."""
+    rebuilt = code.to_json()
+    stated = {key: obj[key] for key in rebuilt if key in obj}
+    if dumps_canonical(stated) != dumps_canonical(rebuilt):
+        wrong = [key for key in sorted(rebuilt) if key not in stated
+                 or dumps_canonical(stated[key]) != dumps_canonical(rebuilt[key])]
+        raise ValueError(f"does not match the code rebuilt from the envelope: {', '.join(wrong)}")
+    return code
+
+
+@dataclass(frozen=True)
+class PlainCode:
+    """A matrix decoded by minimum distance: kinds trivial, random, noiseless, matrix.
+
+    `record` keeps the envelope's other fields (kind, seed, d_min, a random
+    search's attempts and lengths) as written.
+    """
+
+    matrix: SignatureMatrix
+    design_t: int
+    record: dict
+
+    def decoder(self, t: int, limit_u: int | None = None):
+        _check_decode_limit(self.matrix.n, limit_u)
+        return partial(decode_min_distance, matrix=self.matrix, t=t, limit=limit_u)
+
+    def to_json(self) -> dict:
+        return {**self.record, "design_t": self.design_t, "matrix": self.matrix.to_json()}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "PlainCode":
+        matrix = SignatureMatrix.from_json(obj["matrix"] if "matrix" in obj else obj)
+        record = {key: value for key, value in obj.items() if key not in ("design_t", "matrix")}
+        if "design_t" not in obj:
+            return cls(matrix, 0, record)
+        # Only the file vouches for a plain matrix's budget; a simulate in
+        # worst-case mode also checks it against the verifier's witness.
+        t, d_min = obj["design_t"], obj.get("d_min")
+        if type(t) is not int or not 0 <= t <= matrix.k:
+            raise ValueError(f"design_t {t!r} is not an int in [0, k = {matrix.k}]")
+        if d_min is not None and type(d_min) is not int:
+            raise ValueError(f"d_min {d_min!r} is not an int")
+        if d_min is not None and d_min < 2 * t + 1:
+            raise ValueError(f"d_min {d_min} is below 2 * design_t + 1 = {2 * t + 1}")
+        return cls(matrix, t, record)
+
+
 class AugmentedCode:
     """A base matrix plus bit-expanded Reed-Solomon parity rows.
 
-    The extended matrix stacks the k_lin base rows on top of 2t * bit_width
-    binary rows; parity symbol j of column i occupies rows
+    The extended matrix, `matrix`, stacks the k_lin base rows on top of
+    2t * bit_width binary rows; parity symbol j of column i occupies rows
     k_lin + j*bit_width .. k_lin + (j+1)*bit_width - 1 in little-endian bit
     order.
     """
 
-    def __init__(self, base: SignatureMatrix, extended: SignatureMatrix,
-                 t: int, q_rs: int, bit_width: int):
+    def __init__(self, base: SignatureMatrix, matrix: SignatureMatrix,
+                 t: int, codec: RSCodec, bit_width: int):
         self.base = base
-        self.extended = extended
+        self.matrix = matrix
         self.t = t
-        self.q_rs = q_rs
+        self.codec = codec
+        self.q_rs = codec.field.p
         self.bit_width = bit_width
-        self.codec = RSCodec(PrimeField(q_rs), n_rs=base.k + 2 * t, k_rs=base.k)
         self._base_is_identity = (
             base.k == base.n
             and all(base.rows[i][j] == (1 if i == j else 0)
                     for i in range(base.k) for j in range(base.n))
         )
 
+    design_t = property(lambda self: self.t)
+
     @property
     def rows_added(self) -> int:
         return 2 * self.t * self.bit_width
+
+    def decoder(self, t: int, limit_u: int | None = None):
+        """rs_augmented_decode (its own t); checks a non-identity base's 2^n search."""
+        if not self._base_is_identity:
+            _check_decode_limit(self.base.n, limit_u)
+        return partial(rs_augmented_decode, self)
 
     def to_json(self) -> dict:
         return {
             "kind": "rs_augmented",
             "design_t": self.t,
             "base": self.base.to_json(),
-            "extended": self.extended.to_json(),
+            "extended": self.matrix.to_json(),
             "t": self.t,
             "q_rs": self.q_rs,
             "bit_width": self.bit_width,
@@ -107,11 +175,12 @@ class AugmentedCode:
     @classmethod
     def from_json(cls, obj: dict) -> "AugmentedCode":
         """Rebuild from the base and t; every other stated field must match."""
-        code = rs_augment(SignatureMatrix.from_json(obj["base"]), obj["t"])
-        stated = (SignatureMatrix.from_json(obj["extended"]), obj["q_rs"], obj["bit_width"])
-        if stated != (code.extended, code.q_rs, code.bit_width):
-            raise ValueError("extended matrix, q_rs or bit_width does not match its base and t")
-        return code
+        base = SignatureMatrix.from_json(obj["base"])
+        rows, t = SignatureMatrix.from_json(obj["extended"]).k, obj["t"]
+        # Rebuilding takes time quadratic in t, so the file's size bounds t first.
+        if type(t) is not int or not 1 <= t <= (rows - base.k) // 2:
+            raise ValueError(f"t {t!r} is not an int in [1, {(rows - base.k) // 2}]")
+        return _as_stated(rs_augment(base, t), obj)
 
 
 def rs_augment(base: SignatureMatrix, t: int) -> AugmentedCode:
@@ -141,7 +210,7 @@ def rs_augment(base: SignatureMatrix, t: int) -> AugmentedCode:
         q=base.q,
         rows=base.rows + tuple(tuple(r) for r in parity_rows),
     )
-    return AugmentedCode(base, extended, t, q_rs, bit_width)
+    return AugmentedCode(base, extended, t, codec, bit_width)
 
 
 def rs_augmented_decode(code: AugmentedCode, y: Sequence[int]) -> InfoVector:
@@ -151,11 +220,13 @@ def rs_augmented_decode(code: AugmentedCode, y: Sequence[int]) -> InfoVector:
     symbol is reassembled from its bit rows and reduced likewise (integer
     column sums commute with the reduction because the code is linear over
     F_q_RS).  One channel error touches at most one RS symbol, so RS
-    decoding returns the exact noiseless word, which the base then inverts.
+    decoding returns the exact noiseless word, which the base then inverts;
+    a base other than the identity by a 2^n search within no budget of its
+    own (AugmentedCode.decoder checks the caller's).
     """
     k_lin = code.base.k
-    if len(y) != code.extended.k:
-        raise ValueError(f"word length {len(y)} != extended k = {code.extended.k}")
+    if len(y) != code.matrix.k:
+        raise ValueError(f"word length {len(y)} != extended k = {code.matrix.k}")
     q_rs = code.q_rs
     width = code.bit_width
     symbols = [y[j] % q_rs for j in range(k_lin)]
@@ -170,7 +241,7 @@ def rs_augmented_decode(code: AugmentedCode, y: Sequence[int]) -> InfoVector:
         if any(v not in (0, 1) for v in word):
             raise DecodingFailure("recovered word is not an activity vector")
         return tuple(word)
-    return decode_min_distance(tuple(word), code.base, 0)
+    return decode_min_distance(tuple(word), code.base, 0, code.base.n)
 
 
 @dataclass(frozen=True)
@@ -264,53 +335,35 @@ class InnerSearchResult:
     matrix: SignatureMatrix
     checked: int
     space: int
-    mode: str
 
 
 def find_inner_matrix(p: int, s: int, q: int, t_inner: int,
-                      mode: str = "exhaustive", seed: int = 0,
                       budget: int = 300_000,
                       limit: int | None = None) -> InnerSearchResult:
     """Find a p x s matrix with d_min >= 2*t_inner + 1, verified exactly.
 
-    Exhaustive mode walks all q^(p*s) candidate matrices in row-major order
-    and is its own existence proof: exhausting the space proves emptiness.
-    Seeded-random mode draws candidates instead.
+    Walks all q^(p*s) candidate matrices in row-major order, so the search
+    is its own existence proof: exhausting the space proves emptiness.
     """
     if p < 1 or s < 1:
         raise ValueError("need p >= 1 and s >= 1")
     target = 2 * t_inner + 1
     space = q ** (p * s)
-    if mode == "exhaustive":
-        if space > budget:
-            raise ValueError(
-                f"q^(p*s) = {space} exceeds the exhaustive budget {budget}; "
-                f"use seeded-random mode"
-            )
-        checked = 0
-        for entries in product(range(q), repeat=p * s):
-            checked += 1
-            rows = tuple(entries[i * s:(i + 1) * s] for i in range(p))
-            matrix = SignatureMatrix(q=q, rows=rows)
-            if min_distinguishing_weight(matrix, limit).d_min >= target:
-                return InnerSearchResult(matrix, checked, space, mode)
-        raise ConstructionFailure(
-            f"exhausted all {space} candidate {p}x{s} matrices over q={q}: "
-            f"none reaches d_min >= {target}",
-            attempts=space,
+    if space > budget:
+        raise ValueError(
+            f"q^(p*s) = {space} exceeds the exhaustive budget {budget}; "
+            f"choose a smaller --p or --s"
         )
-    if mode == "seeded-random":
-        for attempt in range(1, budget + 1):
-            rng = random.Random(derive_seed(seed, "inner-matrix", attempt))
-            rows = tuple(tuple(rng.randrange(q) for _ in range(s)) for _ in range(p))
-            matrix = SignatureMatrix(q=q, rows=rows)
-            if min_distinguishing_weight(matrix, limit).d_min >= target:
-                return InnerSearchResult(matrix, attempt, space, mode)
-        raise ConstructionFailure(
-            f"no {p}x{s} matrix with d_min >= {target} in {budget} random draws",
-            attempts=budget,
-        )
-    raise ValueError(f"unknown search mode {mode!r}")
+    for checked, entries in enumerate(product(range(q), repeat=p * s), 1):
+        rows = tuple(entries[i * s:(i + 1) * s] for i in range(p))
+        matrix = SignatureMatrix(q=q, rows=rows)
+        if min_distinguishing_weight(matrix, limit).d_min >= target:
+            return InnerSearchResult(matrix, checked, space)
+    raise ConstructionFailure(
+        f"exhausted all {space} candidate {p}x{s} matrices over q={q}: "
+        f"none reaches d_min >= {target}",
+        attempts=space,
+    )
 
 
 def plan_epsilon_split(q: int, epsilon) -> tuple[Fraction, Fraction]:
@@ -345,17 +398,17 @@ def plan_epsilon_split(q: int, epsilon) -> tuple[Fraction, Fraction]:
 class KroneckerCode:
     """Outer binary code composed with an inner signature matrix.
 
-    The composed matrix is G^T (x) M: outer row a contributes p rows, whose
-    block j equals G[j][a] * M.  Row i of M therefore shows up at global
-    positions a*p + i, which is how the decoder regroups the output.
+    The composed matrix, `matrix`, is G^T (x) M: outer row a contributes p
+    rows, whose block j equals G[j][a] * M.  Row i of M therefore shows up at
+    global positions a*p + i, which is how the decoder regroups the output.
     """
 
     def __init__(self, inner: SignatureMatrix, outer: BinaryLinearCode,
-                 composed: SignatureMatrix, t_inner: int,
+                 matrix: SignatureMatrix, t_inner: int,
                  eps1: Optional[Fraction] = None, eps2: Optional[Fraction] = None):
         self.inner = inner
         self.outer = outer
-        self.composed = composed
+        self.matrix = matrix
         self.t_inner = t_inner
         self.eps1 = eps1
         self.eps2 = eps2
@@ -390,6 +443,12 @@ class KroneckerCode:
         """
         return self.lift_threshold * (self.t_inner + 1) - 1
 
+    design_t = certified_budget
+
+    def decoder(self, t: int, limit_u: int | None = None):
+        """kronecker_decode, which needs no 2^n search and corrects up to design_t."""
+        return partial(kronecker_decode, self)
+
     @property
     def asymptotic_budget(self) -> Optional[int]:
         """floor(((q-1)/(8q) - epsilon) * k), when the slacks are recorded."""
@@ -397,7 +456,7 @@ class KroneckerCode:
             return None
         q = self.inner.q
         per_k = (max_correctable_fraction(q) - self.eps1) * (Fraction(1, 4) - self.eps2 / 2)
-        return math.floor(per_k * self.composed.k)
+        return math.floor(per_k * self.matrix.k)
 
     def to_json(self) -> dict:
         return {
@@ -405,7 +464,7 @@ class KroneckerCode:
             "design_t": self.certified_budget,
             "inner": self.inner.to_json(),
             "outer": self.outer.to_json(),
-            "composed": self.composed.to_json(),
+            "composed": self.matrix.to_json(),
             "t_inner": self.t_inner,
             "eps1": None if self.eps1 is None else str(self.eps1),
             "eps2": None if self.eps2 is None else str(self.eps2),
@@ -418,12 +477,16 @@ class KroneckerCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KroneckerCode":
-        """Re-verify both factors, which the certified budget trusts, and recompose."""
+        """Re-verify both factors, which the certified budget trusts, and recompose.
+
+        Every other field the envelope states must match the rebuilt code.
+        """
         inner = SignatureMatrix.from_json(obj["inner"])
         outer = BinaryLinearCode.from_json(obj["outer"])
         t_inner = obj["t_inner"]
-        if t_inner < 0 or min_distinguishing_weight(inner).d_min < 2 * t_inner + 1:
-            raise ValueError(f"inner matrix does not tolerate t_inner = {t_inner}")
+        if (type(t_inner) is not int or t_inner < 0
+                or min_distinguishing_weight(inner).d_min < 2 * t_inner + 1):
+            raise ValueError(f"inner matrix does not tolerate t_inner = {t_inner!r}")
         if outer.min_distance() < outer.design_distance:
             raise ValueError(f"outer code distance is below its stated D = {outer.design_distance}")
         code = kronecker_compose(
@@ -431,9 +494,7 @@ class KroneckerCode:
             eps1=None if obj.get("eps1") is None else Fraction(obj["eps1"]),
             eps2=None if obj.get("eps2") is None else Fraction(obj["eps2"]),
         )
-        if SignatureMatrix.from_json(obj["composed"]) != code.composed:
-            raise ValueError("composed matrix does not match its factors")
-        return code
+        return _as_stated(code, obj)
 
 
 def kronecker_compose(outer: BinaryLinearCode, inner: SignatureMatrix,
@@ -528,26 +589,24 @@ def build_kronecker(q: int, epsilon, p: int, s: int, r: int, seed: int = 0,
                              eps1=eps1, eps2=eps2)
 
 
+FAMILIES = {"rs_augmented": AugmentedCode, "kronecker": KroneckerCode,
+            "trivial": PlainCode, "random": PlainCode, "noiseless": PlainCode,
+            "matrix": PlainCode}
+
+
 def load_artifact(obj: dict):
-    """Rebuild a construction from its JSON envelope."""
+    """Rebuild a code from its JSON envelope; ValueError if it does not load.
+
+    CapacityError instead when a check would walk 3^n patterns above the
+    default limit.
+    """
     if not isinstance(obj, dict):
         raise ValueError("an artifact must be a JSON object")
     kind = obj.get("kind")
-    if kind == "rs_augmented":
-        return AugmentedCode.from_json(obj)
-    if kind == "kronecker":
-        return KroneckerCode.from_json(obj)
-    if kind in ("matrix", "trivial", "noiseless", "random"):
-        matrix = SignatureMatrix.from_json(obj["matrix"] if "matrix" in obj else obj)
-        if "design_t" in obj:
-            # Only the file vouches for a plain matrix's budget; a simulate in
-            # worst-case mode also checks it against the verifier's witness.
-            t, d_min = obj["design_t"], obj.get("d_min")
-            if type(t) is not int or not 0 <= t <= matrix.k:
-                raise ValueError(f"design_t {t!r} is not an int in [0, k = {matrix.k}]")
-            if d_min is not None and type(d_min) is not int:
-                raise ValueError(f"d_min {d_min!r} is not an int")
-            if d_min is not None and d_min < 2 * t + 1:
-                raise ValueError(f"d_min {d_min} is below 2 * design_t + 1 = {2 * t + 1}")
-        return matrix
-    raise ValueError(f"unknown artifact kind {kind!r}")
+    family = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise ValueError(f"unknown artifact kind {kind!r}")
+    try:
+        return family.from_json(obj)
+    except (LookupError, TypeError, ArithmeticError) as exc:
+        raise ValueError(f"malformed {kind} envelope: {type(exc).__name__}: {exc}") from exc

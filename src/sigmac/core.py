@@ -352,17 +352,15 @@ class TrialRecord:
     note: str = ""
 
 
-def _draw_error_pattern(rng: random.Random, k: int, t: int,
-                        value_range: tuple[int, int]) -> dict[int, int]:
-    lo, hi = value_range
-    if lo > hi or (lo == 0 == hi):
-        raise ValueError(f"value range [{lo}, {hi}] contains no nonzero value")
-    positions = sorted(rng.sample(range(k), t))
+def _draw_error_pattern(matrix: SignatureMatrix, t: int, seed: int) -> dict[int, int]:
+    """t positions, each hit by a nonzero value drawn from [-n(q-1), n(q-1)]."""
+    rng = random.Random(derive_seed(seed, "simulate"))
+    span = matrix.n * (matrix.q - 1)
     errors = {}
-    for pos in positions:
+    for pos in sorted(rng.sample(range(matrix.k), t)):
         val = 0
         while val == 0:
-            val = rng.randint(lo, hi)
+            val = rng.randint(-span, span)
         errors[pos] = val
     return errors
 
@@ -375,17 +373,16 @@ _FIND_WITNESS = object()
 
 def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
                    error_mode: str, seed: int,
-                   value_range: tuple[int, int] | None = None,
                    decoder: Callable[[ChannelWord], InfoVector] | None = None,
                    witness: Optional[AdversarialWitness] = _FIND_WITNESS,
                    limit: int | None = None) -> TrialRecord:
     """One encode / corrupt / decode round, deterministic given the seed.
 
     In random mode, exactly t positions are hit with values drawn uniformly
-    from value_range minus {0} (default [-n(q-1), n(q-1)]).  In worst-case
-    mode the transmitted vector and errors come from adversarial_witness;
-    when no witness exists (the matrix tolerates t) the round falls back to
-    a random draw and notes that.  A caller running many rounds passes
+    from [-n(q-1), n(q-1)] minus {0}.  In worst-case mode the transmitted
+    vector and errors come from adversarial_witness; when no witness exists
+    (the matrix tolerates t) the round falls back to a random draw and notes
+    that.  A caller running many rounds passes
     adversarial_witness(matrix, t, limit) as `witness`, None included, so
     that the 3^n walk runs once; left out, it runs here, within `limit`.
     A decoder for the specific code may be injected; the default is
@@ -395,24 +392,18 @@ def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
     if t < 0 or t > matrix.k:
         raise ValueError(f"need 0 <= t <= k, got t={t}")
     note = ""
-    transmitted = tuple(u)
-    if error_mode == RANDOM_ERRORS:
-        rng = random.Random(derive_seed(seed, "simulate"))
-        span = matrix.n * (matrix.q - 1)
-        errors = _draw_error_pattern(rng, matrix.k, t, value_range or (-span, span))
-    elif error_mode == WORST_CASE_ERRORS:
+    transmitted, errors = tuple(u), None
+    if error_mode == WORST_CASE_ERRORS:
         if witness is _FIND_WITNESS:
             witness = adversarial_witness(matrix, t, limit)
         if witness is None:
-            rng = random.Random(derive_seed(seed, "simulate"))
-            span = matrix.n * (matrix.q - 1)
-            errors = _draw_error_pattern(rng, matrix.k, t, value_range or (-span, span))
             note = "no adversarial witness exists at this budget; random draw used"
         else:
-            transmitted = witness.u1
-            errors = dict(witness.e1)
-    else:
+            transmitted, errors = witness.u1, dict(witness.e1)
+    elif error_mode != RANDOM_ERRORS:
         raise ValueError(f"unknown error mode {error_mode!r}")
+    if errors is None:
+        errors = _draw_error_pattern(matrix, t, seed)
     received = apply_errors(encode(matrix, transmitted), errors)
     decode = decoder or (lambda word: decode_min_distance(word, matrix, t))
     try:

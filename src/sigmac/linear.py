@@ -3,14 +3,12 @@
 The RS codec is systematic over a prime field F_p with evaluation points
 0..n-1: the first k points carry the message, the parities are the
 interpolating polynomial's values at the remaining points.  Decoding is by
-syndromes against parity checks the codec builds once; an independent
-brute-force nearest-codeword path exists for small codes so the two can be
-checked against each other.
+syndromes against parity checks the codec builds once.
 
 The binary side provides [N, K, D] codes with exactly verified minimum
-distance (exhaustive over the 2^K codewords at desk scale), a half-distance
-decoder, and the integer-lift decoder that recovers a bounded nonnegative
-integer vector w from G^T w + e by repeated bit-plane decoding.
+distance (exhaustive over the 2^K codewords at desk scale), their nearest
+codewords by bit mask, and the integer-lift decoder that recovers a bounded
+nonnegative integer vector w from G^T w + e by repeated bit-plane decoding.
 """
 
 from __future__ import annotations
@@ -20,11 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Sequence
 
 from .core import derive_seed
-from .errors import AmbiguousDecoding, ConstructionFailure, DecodingFailure
+from .errors import ConstructionFailure, DecodingFailure
 
 
 def is_prime(m: int) -> bool:
@@ -219,28 +216,6 @@ def rs_decode(codec: RSCodec, received: Sequence[int]) -> list[int]:
     return corrected[:k]
 
 
-def rs_decode_bruteforce(codec: RSCodec, received: Sequence[int],
-                         budget: int = 200_000) -> list[int]:
-    """Independent nearest-codeword oracle over all p^k_rs messages."""
-    p = codec.field.p
-    if p ** codec.k_rs > budget:
-        raise ValueError("message space too large for brute force")
-    codec._check_elements(received)
-    best = None
-    best_dist = codec.n_rs + 1
-    tie = False
-    for message in product(range(p), repeat=codec.k_rs):
-        cw = rs_encode(codec, list(message))
-        dist = sum(1 for a, b in zip(received, cw) if a != b)
-        if dist < best_dist:
-            best, best_dist, tie = list(message), dist, False
-        elif dist == best_dist:
-            tie = True
-    if tie:
-        raise DecodingFailure(f"tie at distance {best_dist}")
-    return best
-
-
 @dataclass(frozen=True)
 class BinaryLinearCode:
     """[N, K, D] binary code given by a K x N generator; D is the design distance.
@@ -415,18 +390,6 @@ def _nearest_codeword(code: BinaryLinearCode,
             tie = True
     answer = code._nearest[target] = (best_msg, best_cw, best_dist, tie)
     return answer
-
-
-def binary_half_distance_decode(code: BinaryLinearCode,
-                                bits: Sequence[int]) -> tuple[int, ...]:
-    """Nearest codeword by brute force; raises AmbiguousDecoding on a tie."""
-    if len(bits) != code.N:
-        raise ValueError(f"word length {len(bits)} != N = {code.N}")
-    target = sum((1 if b else 0) << i for i, b in enumerate(bits))
-    _, cw, dist, tie = _nearest_codeword(code, target)
-    if tie:
-        raise AmbiguousDecoding(f"tie at distance {dist}: outside decoding radius")
-    return tuple((cw >> i) & 1 for i in range(code.N))
 
 
 def integer_lift_decode(code: BinaryLinearCode, y: Sequence[int],

@@ -96,7 +96,7 @@ def accepted_random_matrices() -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def kronecker_instances() -> tuple:
-    inner = cons.find_inner_matrix(3, 2, 3, 1, mode="exhaustive").matrix
+    inner = cons.find_inner_matrix(3, 2, 3, 1).matrix
     primary = cons.kronecker_compose(repetition_code(6), inner, t_inner=1,
                                      eps1=Fraction(2, 9), eps2=Fraction(1, 8))
     secondary = cons.build_kronecker(3, Fraction(1, 16), p=3, s=2, r=2,
@@ -177,7 +177,7 @@ def test_criterion_4_rs_round_trip():
     decodes = 0
     for code in rs_instances():
         n, t = code.base.n, code.t
-        extended = code.extended
+        extended = code.matrix
         k = extended.k
         values = [v for v in range(-code.q_rs, code.q_rs + 1) if v != 0]
         exhaustive_values = (t == 1) or (n <= 2)
@@ -222,11 +222,11 @@ def test_criterion_6_kronecker_pipeline():
     primary, secondary = kronecker_instances()
     # primary: p=3, s=2, q=3, repetition [6,1,6] outer, certified budget 5
     assert primary.certified_budget == 5
-    k = primary.composed.k
+    k = primary.matrix.k
     values = [-3, -2, -1, 1, 2, 3]
     decodes = 0
-    for v in product((0, 1), repeat=primary.composed.n):
-        clean = encode(primary.composed, v)
+    for v in product((0, 1), repeat=primary.matrix.n):
+        clean = encode(primary.matrix, v)
         for size in range(primary.certified_budget + 1):
             for support in combinations(range(k), size):
                 for vals in error_value_assignments(size, values, size <= 2):
@@ -237,9 +237,9 @@ def test_criterion_6_kronecker_pipeline():
     # secondary: searched [4,2,>=2] outer over r=2 blocks, budget 1,
     # swept fully
     budget = secondary.certified_budget
-    k2 = secondary.composed.k
-    for v in product((0, 1), repeat=secondary.composed.n):
-        clean = encode(secondary.composed, v)
+    k2 = secondary.matrix.k
+    for v in product((0, 1), repeat=secondary.matrix.n):
+        clean = encode(secondary.matrix, v)
         for size in range(budget + 1):
             for support in combinations(range(k2), size):
                 for vals in product(values, repeat=size):
@@ -268,12 +268,12 @@ def test_criterion_7_converse_empirically():
     print(f"\n  max d_min per k over all q=2, n=2 matrices: {max_d_min}")
     # no construction used by criteria 4-6 exceeds (q-1)/(2q) at its design t
     for code in rs_instances():
-        assert Fraction(code.t, code.extended.k) <= Fraction(
-            code.extended.q - 1, 2 * code.extended.q)
+        assert Fraction(code.t, code.matrix.k) <= Fraction(
+            code.matrix.q - 1, 2 * code.matrix.q)
     for result in accepted_random_matrices():
         assert Fraction(1, result.k) <= Fraction(2, 6)
     for kron in kronecker_instances():
-        assert Fraction(kron.certified_budget, kron.composed.k) <= Fraction(2, 6)
+        assert Fraction(kron.certified_budget, kron.matrix.k) <= Fraction(2, 6)
     report(7, time.perf_counter() - start, 60.0,
            f"exhaustive n=2 k<=4 binary search: t/k never exceeds 1/4 "
            f"(max d_min per k: {max_d_min}); all built codes respect the threshold")

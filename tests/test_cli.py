@@ -162,7 +162,7 @@ def test_construct_kronecker_and_simulate(tmp_path, capsys):
     # artifact is round-trippable: reload and re-verify the recorded d_min
     from sigmac.constructions import load_artifact
     loaded = load_artifact(obj)
-    assert min_distinguishing_weight(loaded.composed).d_min == obj["d_min"]
+    assert min_distinguishing_weight(loaded.matrix).d_min == obj["d_min"]
     assert run(["simulate", "--in", str(artifact), "--rounds", "40",
                 "--seed", "2"]) == 0
     capsys.readouterr()
@@ -222,6 +222,11 @@ def _set(*path_and_value):
     return mutate
 
 
+def _rs_on_a_base_of_three_columns(envelope):
+    base = SignatureMatrix(q=2, rows=((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+    return {**constructions.rs_augment(base, 1).to_json(), "seed": 0, "d_min": None}
+
+
 # (construct argv, edit of the written envelope, extra simulate argv)
 MALFORMED = {
     "t-above-k": (TRIVIAL, lambda obj: obj, ["--t", "4"]),
@@ -229,8 +234,18 @@ MALFORMED = {
     "rows-not-lists": (TRIVIAL, _set("matrix", "rows", [1, 2]), []),
     "unknown-kind": (TRIVIAL, _set("kind", "mystery"), []),
     "rs-bit-width": (RS, _set("bit_width", 2), []),
+    "rs-t-huge": (RS, _set("t", 10**6), []),
+    "rs-design-t": (RS, _set("design_t", 2), []),
+    "rs-base-entry": (RS, _set("base", "rows", 0, 1, 1), []),
+    "rs-base-above-limit-u": (RS, _rs_on_a_base_of_three_columns, ["--limit-u", "2"]),
     "kronecker-t-inner": (KRONECKER, _set("t_inner", 3), []),
     "kronecker-outer-distance": (KRONECKER, _set("outer", "D", 7), []),
+    "kronecker-composed-entry": (KRONECKER, _set("composed", "rows", 0, 0, 0), []),
+    "kronecker-certified-budget": (KRONECKER, _set("certified_budget", 4), []),
+    "kronecker-eps1-zero-denominator": (KRONECKER, _set("eps1", "1/0"), []),
+    "bare-matrix-not-decodable": (
+        TRIVIAL, lambda obj: {"kind": "matrix", **SignatureMatrix(q=2, rows=((1, 1),)).to_json()},
+        ["--error-mode", "worst-case-from-witness"]),
     "n-above-limit-u": (TRIVIAL, lambda obj: obj, ["--limit-u", "2"]),
     "n-above-limit-z": (TRIVIAL, lambda obj: obj,
                         ["--limit-z", "2", "--error-mode", "worst-case-from-witness"]),
@@ -254,6 +269,59 @@ def test_simulate_malformed_input_is_usage_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_limit_u_reaches_the_rs_base_search(tmp_path, capsys, monkeypatch):
+    # With the default limit lowered below the base's 3 columns, only
+    # --limit-u lets its 2^n search run.
+    artifact = tmp_path / "rs.json"
+    artifact.write_text(json.dumps(_rs_on_a_base_of_three_columns(None)))
+    monkeypatch.setattr(core, "DEFAULT_U_LIMIT", 2)
+    assert run(["simulate", "--in", str(artifact), "--rounds", "5", "--limit-u", "3"]) == 0
+    assert capsys.readouterr().out == \
+        "simulate: rounds=5 t=1 mode=random-positions-random-values failures=0\n"
+
+
+def test_bare_matrix_budget_is_checked_like_every_family(tmp_path, capsys):
+    # no design_t: the budget is 0, which the witness walk finds untolerated
+    artifact = tmp_path / "m.json"
+    artifact.write_text(json.dumps(
+        {"kind": "matrix", **SignatureMatrix(q=2, rows=((1, 1),)).to_json()}))
+    assert run(["simulate", "--in", str(artifact), "--rounds", "3",
+                "--error-mode", "worst-case-from-witness"]) == 2
+    assert capsys.readouterr().err == \
+        "simulate: the matrix does not tolerate the artifact's design_t = 0\n"
+    # an explicit --t is the caller's budget: the rounds run and fail
+    assert run(["simulate", "--in", str(artifact), "--rounds", "3", "--t", "0",
+                "--error-mode", "worst-case-from-witness"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [TRIVIAL, RANDOM, RS, KRONECKER],
+                         ids=["trivial", "random", "rs-augment", "kronecker"])
+def test_construct_envelope_reloads_to_the_same_bytes(tmp_path, argv):
+    artifact = tmp_path / "a.json"
+    assert run(["construct", *argv, "--out", str(artifact)]) == 0
+    text = artifact.read_text()
+    obj = json.loads(text)
+    code = constructions.load_artifact(obj)
+    again = {**code.to_json(), "seed": obj["seed"], "d_min": obj["d_min"]}
+    assert core.dumps_canonical(again) == text
+    written = obj.get("matrix") or obj.get("extended") or obj["composed"]
+    assert code.matrix == SignatureMatrix.from_json(written)
+    assert code.design_t == obj["design_t"]
+    u = tuple(j % 2 for j in range(code.matrix.n))
+    assert code.decoder(code.design_t, None)(core.encode(code.matrix, u)) == u
+
+
+def test_construct_kronecker_inner_space_above_budget(tmp_path, capsys):
+    argv = ["construct", "--method", "kronecker", "--q", "3", "--epsilon", "1/16",
+            "--p", "4", "--s", "3", "--r", "1", "--outer", "repetition", "--c1", "6",
+            "--inner-t", "1", "--out", str(tmp_path / "k.json")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "construct: q^(p*s) = 531441 exceeds the exhaustive budget 300000; "
+        "choose a smaller --p or --s"]
 
 
 @pytest.mark.parametrize("argv", [

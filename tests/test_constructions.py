@@ -44,9 +44,9 @@ def test_rs_augment_shapes():
     # 3 bits per symbol, 2 parity symbols -> 6 extra rows.
     code = cons.rs_augment(cons.construct_trivial(2), 1)
     assert (code.q_rs, code.bit_width) == (5, 3)
-    assert code.extended.k == 2 + 2 * 1 * 3 and code.extended.n == 2
-    assert code.extended.rows[:2] == code.base.rows
-    assert all(v in (0, 1) for row in code.extended.rows[2:] for v in row)
+    assert code.matrix.k == 2 + 2 * 1 * 3 and code.matrix.n == 2
+    assert code.matrix.rows[:2] == code.base.rows
+    assert all(v in (0, 1) for row in code.matrix.rows[2:] for v in row)
     assert code.rows_added == 6
     # field always covers both the channel values and the evaluation points
     for n in range(1, 6):
@@ -54,7 +54,7 @@ def test_rs_augment_shapes():
             c = cons.rs_augment(cons.construct_trivial(n), t)
             assert c.q_rs > n * (c.base.q - 1)
             assert c.q_rs >= c.base.k + 2 * t
-            assert c.extended.k == c.base.k + 2 * t * c.bit_width
+            assert c.matrix.k == c.base.k + 2 * t * c.bit_width
 
 
 def test_rs_augment_parity_bits_encode_column_symbols():
@@ -64,7 +64,7 @@ def test_rs_augment_parity_bits_encode_column_symbols():
         column = [code.base.rows[i][col] for i in range(3)]
         symbols = rs_encode(code.codec, column)[3:]
         for j, symbol in enumerate(symbols):
-            bits = [code.extended.rows[3 + j * code.bit_width + b][col]
+            bits = [code.matrix.rows[3 + j * code.bit_width + b][col]
                     for b in range(code.bit_width)]
             assert sum(bit << b for b, bit in enumerate(bits)) == symbol
 
@@ -72,7 +72,7 @@ def test_rs_augment_parity_bits_encode_column_symbols():
 def test_rs_augmented_decode_clean_and_single_big_error():
     code = cons.rs_augment(cons.construct_trivial(4), 1)
     u = (1, 0, 1, 1)
-    y = encode(code.extended, u)
+    y = encode(code.matrix, u)
     assert cons.rs_augmented_decode(code, y) == u
     assert cons.rs_augmented_decode(code, apply_errors(y, {0: -9})) == u
 
@@ -82,12 +82,12 @@ def test_rs_augmented_decode_vs_min_distance_oracle():
     code = cons.rs_augment(cons.construct_trivial(4), 1)
     for trial in range(200):
         u = tuple(rng.randint(0, 1) for _ in range(4))
-        y = encode(code.extended, u)
-        pos = rng.randrange(code.extended.k)
+        y = encode(code.matrix, u)
+        pos = rng.randrange(code.matrix.k)
         val = rng.choice([v for v in range(-7, 8) if v != 0])
         received = apply_errors(y, {pos: val})
         assert cons.rs_augmented_decode(code, received) == u
-        assert decode_min_distance(received, code.extended, 1) == u
+        assert decode_min_distance(received, code.matrix, 1) == u
 
 
 def test_rs_augmented_decode_errors_in_distinct_parity_symbols():
@@ -96,7 +96,7 @@ def test_rs_augmented_decode_errors_in_distinct_parity_symbols():
     rng = random.Random(5)
     for trial in range(100):
         u = tuple(rng.randint(0, 1) for _ in range(3))
-        y = encode(code.extended, u)
+        y = encode(code.matrix, u)
         symbols = rng.sample(range(4), 2)  # two of the 2t = 4 parity symbols
         errors = {}
         for j in symbols:
@@ -109,10 +109,10 @@ def test_rs_augment_round_trip_exhaustive_tiny():
     # full value exhaustion on the smallest instances
     for n, t in [(1, 1), (2, 1), (2, 2)]:
         code = cons.rs_augment(cons.construct_trivial(n), t)
-        k = code.extended.k
+        k = code.matrix.k
         values = [v for v in range(-code.q_rs, code.q_rs + 1) if v != 0]
         for u in product((0, 1), repeat=n):
-            clean = encode(code.extended, u)
+            clean = encode(code.matrix, u)
             assert cons.rs_augmented_decode(code, clean) == u
             for size in range(1, t + 1):
                 for support in combinations(range(k), size):
@@ -124,7 +124,7 @@ def test_rs_augment_round_trip_exhaustive_tiny():
 def test_rs_augment_extended_matrix_tolerates_t():
     for n, t in [(2, 1), (3, 1), (3, 2), (4, 1)]:
         code = cons.rs_augment(cons.construct_trivial(n), t)
-        assert tolerates(code.extended, t)
+        assert tolerates(code.matrix, t)
 
 
 def test_augmented_code_json_round_trip():
@@ -132,7 +132,7 @@ def test_augmented_code_json_round_trip():
     blob = dumps_canonical(code.to_json())
     loaded = cons.AugmentedCode.from_json(json.loads(blob))
     u = (1, 1, 0)
-    y = apply_errors(encode(loaded.extended, u), {2: 4})
+    y = apply_errors(encode(loaded.matrix, u), {2: 4})
     assert cons.rs_augmented_decode(loaded, y) == u
     assert dumps_canonical(loaded.to_json()) == blob
     tampered = json.loads(blob)
@@ -193,14 +193,14 @@ def test_construct_random_exhausts_and_escalates():
 
 
 def test_find_inner_matrix_exhaustive():
-    result = cons.find_inner_matrix(3, 2, 3, 1, mode="exhaustive")
+    result = cons.find_inner_matrix(3, 2, 3, 1)
     assert result.matrix.rows == ((1, 2), (1, 2), (1, 2))
     assert min_distinguishing_weight(result.matrix).d_min >= 3
     assert result.checked <= result.space == 3 ** 6
 
 
 def test_find_inner_matrix_t0():
-    result = cons.find_inner_matrix(2, 2, 2, 0, mode="exhaustive")
+    result = cons.find_inner_matrix(2, 2, 2, 0)
     assert min_distinguishing_weight(result.matrix).d_min >= 1
 
 
@@ -208,15 +208,8 @@ def test_find_inner_matrix_emptiness_proof():
     # a 3x2 binary matrix correcting 1 error would beat the (q-1)/(2q)
     # fraction; the exhaustive search must prove none exists
     with pytest.raises(ConstructionFailure) as info:
-        cons.find_inner_matrix(3, 2, 2, 1, mode="exhaustive")
+        cons.find_inner_matrix(3, 2, 2, 1)
     assert info.value.attempts == 2 ** 6
-
-
-def test_find_inner_matrix_seeded_random():
-    result = cons.find_inner_matrix(3, 2, 3, 1, mode="seeded-random", seed=4)
-    assert min_distinguishing_weight(result.matrix).d_min >= 3
-    again = cons.find_inner_matrix(3, 2, 3, 1, mode="seeded-random", seed=4)
-    assert result.matrix == again.matrix
 
 
 def test_plan_epsilon_split():
@@ -237,8 +230,8 @@ def test_kronecker_compose_repetition_stacks_inner():
     inner = SignatureMatrix(q=3, rows=((1, 2), (0, 1)))
     outer = repetition_code(3)
     code = cons.kronecker_compose(outer, inner)
-    assert code.composed.rows == inner.rows * 3
-    assert code.composed.k == 3 * 2 and code.composed.n == 2
+    assert code.matrix.rows == inner.rows * 3
+    assert code.matrix.k == 3 * 2 and code.matrix.n == 2
 
 
 def test_kronecker_compose_block_structure():
@@ -247,7 +240,7 @@ def test_kronecker_compose_block_structure():
     gen = ((1, 0, 1, 1), (0, 1, 1, 0))
     outer = BinaryLinearCode(generator=gen, design_distance=2)
     code = cons.kronecker_compose(outer, inner)
-    composed = code.composed
+    composed = code.matrix
     assert composed.k == outer.N * inner.k and composed.n == outer.K * inner.n
     for a in range(outer.N):
         for j in range(outer.K):
@@ -260,7 +253,7 @@ def test_kronecker_compose_block_structure():
 
 
 def kronecker_fixture():
-    inner = cons.find_inner_matrix(3, 2, 3, 1, mode="exhaustive").matrix
+    inner = cons.find_inner_matrix(3, 2, 3, 1).matrix
     return cons.kronecker_compose(repetition_code(6), inner, t_inner=1)
 
 
@@ -268,13 +261,13 @@ def test_kronecker_budgets():
     code = kronecker_fixture()
     assert code.lift_threshold == 3
     assert code.certified_budget == 5
-    assert code.composed.k == 18 and code.composed.n == 2
+    assert code.matrix.k == 18 and code.matrix.n == 2
 
 
 def test_kronecker_decode_clean():
     code = kronecker_fixture()
-    for v in product((0, 1), repeat=code.composed.n):
-        assert cons.kronecker_decode(code, encode(code.composed, v)) == v
+    for v in product((0, 1), repeat=code.matrix.n):
+        assert cons.kronecker_decode(code, encode(code.matrix, v)) == v
 
 
 def test_kronecker_decode_one_row_fully_corrupted():
@@ -282,7 +275,7 @@ def test_kronecker_decode_one_row_fully_corrupted():
     # there; the per-block search outvotes that single untrusted row
     code = kronecker_fixture()
     v = (1, 0)
-    clean = encode(code.composed, v)
+    clean = encode(code.matrix, v)
     p = code.p
     for inner_row in range(p):
         positions = [a * p + inner_row for a in range(5)]
@@ -293,10 +286,10 @@ def test_kronecker_decode_one_row_fully_corrupted():
 def test_kronecker_decode_random_full_budget():
     code = kronecker_fixture()
     rng = random.Random(77)
-    k = code.composed.k
+    k = code.matrix.k
     for trial in range(500):
-        v = tuple(rng.randint(0, 1) for _ in range(code.composed.n))
-        clean = encode(code.composed, v)
+        v = tuple(rng.randint(0, 1) for _ in range(code.matrix.n))
+        clean = encode(code.matrix, v)
         support = rng.sample(range(k), code.certified_budget)
         errors = {pos: rng.choice([-3, -2, -1, 1, 2, 3]) for pos in support}
         assert cons.kronecker_decode(code, apply_errors(clean, errors)) == v
@@ -306,10 +299,10 @@ def test_kronecker_json_round_trip():
     code = kronecker_fixture()
     blob = dumps_canonical(code.to_json())
     loaded = cons.KroneckerCode.from_json(json.loads(blob))
-    assert loaded.composed == code.composed
+    assert loaded.matrix == code.matrix
     assert loaded.certified_budget == code.certified_budget
     v = (0, 1)
-    y = apply_errors(encode(loaded.composed, v), {0: 9, 7: -2})
+    y = apply_errors(encode(loaded.matrix, v), {0: 9, 7: -2})
     assert cons.kronecker_decode(loaded, y) == v
     tampered = json.loads(blob)
     tampered["composed"]["rows"][0][0] = 2
@@ -331,13 +324,13 @@ def test_build_kronecker_end_to_end():
                                 outer_kind="repetition", t_inner=1, c1=6)
     assert code.eps1 == Fraction(2, 9) and code.eps2 == Fraction(1, 8)
     assert code.asymptotic_budget is not None
-    assert code.composed.k == 18
+    assert code.matrix.k == 18
     searched = cons.build_kronecker(3, Fraction(1, 16), p=3, s=2, r=2, seed=5,
                                     outer_kind="search", t_inner=1)
-    assert searched.composed.n == 4
+    assert searched.matrix.n == 4
     assert searched.outer.min_distance() >= searched.outer.design_distance
     v = (1, 0, 0, 1)
-    y = encode(searched.composed, v)
+    y = encode(searched.matrix, v)
     assert cons.kronecker_decode(searched, y) == v
     with pytest.raises(ValueError):
         cons.build_kronecker(3, Fraction(1, 16), p=3, s=2, r=2,
@@ -353,8 +346,8 @@ def test_no_construction_beats_the_converse():
     from sigmac.bounds import pairwise_counting_check
     produced = [
         (cons.construct_random(6, 3, 1, seed=1, k_override=10).matrix, 1),
-        (cons.rs_augment(cons.construct_trivial(3), 1).extended, 1),
-        (kronecker_fixture().composed, kronecker_fixture().certified_budget),
+        (cons.rs_augment(cons.construct_trivial(3), 1).matrix, 1),
+        (kronecker_fixture().matrix, kronecker_fixture().certified_budget),
     ]
     for matrix, design_t in produced:
         report = min_distinguishing_weight(matrix)
@@ -374,7 +367,7 @@ def test_load_artifact_dispatch():
     assert isinstance(cons.load_artifact(kron.to_json()), cons.KroneckerCode)
     matrix = cons.construct_trivial(2)
     env = {"kind": "trivial", "matrix": matrix.to_json()}
-    assert cons.load_artifact(env) == matrix
+    assert cons.load_artifact(env).matrix == matrix
     with pytest.raises(ValueError):
         cons.load_artifact({"kind": "mystery"})
 
@@ -392,7 +385,89 @@ def test_load_artifact_checks_a_stated_design_t(design_t, d_min, message):
         cons.load_artifact(env)
     assert str(info.value) == message
     env["design_t"], env["d_min"] = 0, 1
-    assert cons.load_artifact(env) == cons.construct_trivial(2)
+    assert cons.load_artifact(env).matrix == cons.construct_trivial(2)
+
+
+def test_rs_loader_bounds_t_by_the_file_before_rebuilding(monkeypatch):
+    # Rebuilding takes time quadratic in t: a t that the stated extended rows
+    # cannot hold is rejected without it.
+    envelope = cons.rs_augment(cons.construct_trivial(3), 1).to_json()    # 9 rows
+
+    def rebuild(base, t):
+        raise AssertionError(f"rebuilt at t = {t!r}")
+
+    monkeypatch.setattr(cons, "rs_augment", rebuild)
+    for t in (10**6, 4, 0, -1, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match=r"is not an int in \[1, 3\]"):
+            cons.load_artifact({**envelope, "t": t})
+
+
+# -- every field an envelope writes is checked on load -----------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.fractions().map(str),
+    lambda part: st.lists(part, max_size=3) | st.dictionaries(st.text(max_size=3), part,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def edited(draw, value):
+    """A JSON value other than `value`: any value, or `value` with one part changed."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        part = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                    else range(len(value))))
+        copy = json.loads(json.dumps(value))
+        copy[part] = draw(edited(value[part]))
+        return copy
+    if type(value) is int and draw(st.booleans()):
+        return value + draw(st.integers(-3, 3).filter(bool))
+    other = draw(JSON_VALUES)
+    assume(dumps_canonical(other) != dumps_canonical(value))
+    return other
+
+
+STRUCTURED_ENVELOPES = [json.loads(dumps_canonical(code.to_json())) for code in (
+    cons.rs_augment(cons.construct_trivial(3), 1),
+    cons.rs_augment(SignatureMatrix(q=3, rows=((1, 2, 0, 1), (0, 1, 2, 2))), 2),
+    kronecker_fixture(),
+    cons.build_kronecker(3, Fraction(1, 16), p=3, s=2, r=2, seed=5, t_inner=1),
+)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_single_key_edit_is_rejected(data):
+    envelope = data.draw(st.sampled_from(STRUCTURED_ENVELOPES))
+    key = data.draw(st.sampled_from(sorted(envelope)))
+    edit = {**envelope, key: data.draw(edited(envelope[key]))}
+    if data.draw(st.integers(0, 9)) == 0:
+        del edit[key]                         # a missing key is an edit too
+    try:
+        code = cons.load_artifact(edit)
+    except ValueError:
+        return
+    # A Kronecker envelope states its slacks and its outer code's seed and D
+    # without what they were derived from (epsilon, the search), so the
+    # rebuilt code takes them as read: the slacks reach only
+    # asymptotic_budget, D only the lift threshold ceil(D/2), the seed
+    # nothing.  An edit that moves none of these loads, and changes nothing
+    # the decoder trusts.
+    original = cons.load_artifact(envelope)
+    assert envelope["kind"] == "kronecker" and key in ("eps1", "eps2", "outer")
+    assert (code.matrix, code.design_t, code.asymptotic_budget) == \
+        (original.matrix, original.design_t, original.asymptotic_budget)
+
+
+@pytest.mark.parametrize("index, key, value", [
+    (0, "t", True), (0, "q_rs", 5.0), (0, "base", None), (1, "design_t", 2.0),
+    (2, "t_inner", True), (2, "eps1", "1/0"), (2, "eps2", []), (2, "outer", {"D": 6}),
+])
+def test_edits_to_another_type_are_rejected(index, key, value):
+    # True == 1 and 5.0 == 5 in Python, but not in the envelope's JSON
+    with pytest.raises(ValueError):
+        cons.load_artifact({**STRUCTURED_ENVELOPES[index], key: value})
 
 
 # -- each family's decoder against minimum-distance decoding -----------------
@@ -425,8 +500,8 @@ def test_rs_augmented_decode_is_min_distance_decoding(data):
     assume(min_distinguishing_weight(base).d_min >= 1)   # noiseless-decodable
     t = data.draw(st.integers(1, 2))
     code = cons.rs_augment(base, t)
-    u, y = data.draw(corrupted(code.extended, t))
-    assert cons.rs_augmented_decode(code, y) == decode_min_distance(y, code.extended, t) == u
+    u, y = data.draw(corrupted(code.matrix, t))
+    assert cons.rs_augmented_decode(code, y) == decode_min_distance(y, code.matrix, t) == u
 
 
 def with_true_distance(generator):
@@ -468,5 +543,5 @@ def test_kronecker_decode_is_min_distance_decoding(data):
     t_inner = data.draw(st.integers(0, (d_inner - 1) // 2).map(lambda t: (d_inner - 1) // 2 - t))
     code = cons.kronecker_compose(outer, inner, t_inner=t_inner)
     budget = code.certified_budget
-    u, y = data.draw(corrupted(code.composed, budget))
-    assert cons.kronecker_decode(code, y) == decode_min_distance(y, code.composed, budget) == u
+    u, y = data.draw(corrupted(code.matrix, budget))
+    assert cons.kronecker_decode(code, y) == decode_min_distance(y, code.matrix, budget) == u

@@ -3,6 +3,7 @@
 import json
 import random
 from itertools import combinations, product
+from typing import Sequence
 
 import pytest
 import sympy
@@ -16,13 +17,11 @@ from sigmac.linear import (
     _nearest_codeword,
     PrimeField,
     RSCodec,
-    binary_half_distance_decode,
     build_outer_code,
     integer_lift_decode,
     is_prime,
     repetition_code,
     rs_decode,
-    rs_decode_bruteforce,
     rs_encode,
     smallest_prime_above,
 )
@@ -101,6 +100,42 @@ def test_rs_decode_within_radius():
         for pos in rng.sample(range(7), rng.randint(0, 2)):
             word[pos] = (word[pos] + rng.randint(1, 10)) % 11
         assert rs_decode(codec, word) == m
+
+
+# -- test-only oracles: nearest codewords by brute force ----------------------
+
+def rs_decode_bruteforce(codec: RSCodec, received: Sequence[int],
+                         budget: int = 200_000) -> list[int]:
+    """Independent nearest-codeword oracle over all p^k_rs messages."""
+    p = codec.field.p
+    if p ** codec.k_rs > budget:
+        raise ValueError("message space too large for brute force")
+    codec._check_elements(received)
+    best = None
+    best_dist = codec.n_rs + 1
+    tie = False
+    for message in product(range(p), repeat=codec.k_rs):
+        cw = rs_encode(codec, list(message))
+        dist = sum(1 for a, b in zip(received, cw) if a != b)
+        if dist < best_dist:
+            best, best_dist, tie = list(message), dist, False
+        elif dist == best_dist:
+            tie = True
+    if tie:
+        raise DecodingFailure(f"tie at distance {best_dist}")
+    return best
+
+
+def binary_half_distance_decode(code: BinaryLinearCode,
+                                bits: Sequence[int]) -> tuple[int, ...]:
+    """Nearest codeword by brute force; raises AmbiguousDecoding on a tie."""
+    if len(bits) != code.N:
+        raise ValueError(f"word length {len(bits)} != N = {code.N}")
+    target = sum((1 if b else 0) << i for i, b in enumerate(bits))
+    _, cw, dist, tie = _nearest_codeword(code, target)
+    if tie:
+        raise AmbiguousDecoding(f"tie at distance {dist}: outside decoding radius")
+    return tuple((cw >> i) & 1 for i in range(code.N))
 
 
 def test_rs_decode_single_error_small_code():
