@@ -191,7 +191,7 @@ def _compositions(length: int, max_part: int):
 def cmd_construct(args: argparse.Namespace) -> int:
     try:
         limit = core.z_enumeration_limit(args.limit_z)
-        if args.method != "kronecker" and not args.n:
+        if args.method != "kronecker" and args.n is None:
             raise ValueError("--n is required")
         if args.method == "trivial":
             code = cons.PlainCode(cons.construct_trivial(args.n), 0, {"kind": "trivial"})

@@ -21,7 +21,8 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import AmbiguousDecoding, CapacityError, DecodingFailure
 
@@ -73,7 +74,25 @@ class SignatureMatrix:
         return len(self.rows[0])
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
+        return self._columns[j]
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.rows))
+
+    @cached_property
+    def _half_tables(self) -> "_HalfTables":
+        """decode_min_distance's matrix-only part, built on its first use."""
+        import numpy as np
+
+        cap = self.n * (self.q - 1)
+        dtype = np.min_scalar_type(-1 - cap)
+        columns = np.array(self.rows, dtype=dtype).T
+        h = self.n // 2
+        left, right = (np.ascontiguousarray(_subset_sums(half).T)
+                       for half in (columns[:h], columns[h:]))
+        left.flags.writeable = right.flags.writeable = False
+        return _HalfTables(cap, dtype, h, left, right)
 
     def to_json(self) -> dict:
         return {"q": self.q, "k": self.k, "n": self.n,
@@ -122,8 +141,10 @@ def _check_info_vector(u: Sequence[int], n: int) -> None:
 def encode(matrix: SignatureMatrix, u: Sequence[int]) -> ChannelWord:
     """Noiseless channel output M u over the integers."""
     _check_info_vector(u, matrix.n)
-    active = [j for j, b in enumerate(u) if b]
-    return tuple(sum(row[j] for j in active) for row in matrix.rows)
+    active = [column for column, b in zip(matrix._columns, u) if b]
+    if not active:
+        return (0,) * matrix.k
+    return tuple(map(sum, zip(*active)))
 
 
 def apply_errors(y: Sequence[int], errors: ErrorPattern) -> ChannelWord:
@@ -231,6 +252,26 @@ def _received_symbol(value, cap: int) -> int:
     return whole if whole == value and 0 <= whole <= cap else -1
 
 
+class _HalfTables(NamedTuple):
+    """The part of decode_min_distance's search that depends only on M."""
+
+    cap: int        # every entry of M u lies in [0, cap]
+    dtype: object   # narrowest type holding [-1 - cap, cap]; object if none does
+    h: int          # split point: u = (a, b) with a over columns 0..h-1
+    left: object    # k x 2^h array, column a holds M_A a
+    right: object   # k x 2^(n-h) array, column b holds M_B b
+
+
+def _subset_sums(columns):
+    """Row a holds the sum of the columns j whose bit j is set in a."""
+    import numpy as np
+
+    sums = np.zeros((1, columns.shape[1]), dtype=columns.dtype)
+    for column in columns:
+        sums = np.concatenate((sums, sums + column))
+    return sums
+
+
 def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
                         limit: int | None = None) -> InfoVector:
     """Return the activity vector u minimizing wt(y - M u).
@@ -238,8 +279,8 @@ def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
     Searches all 2^n candidates by meeting in the middle: with the columns
     split at h = n // 2, candidate u = (a, b) has weight equal to the number
     of rows where (y - M_A a) and M_B b differ.  Both halves are tabulated
-    once; the weights are taken a few left halves at a time, in blocks of
-    about DECODE_BLOCK // k candidates.
+    once per matrix and kept on it; per word, the weights are taken a few
+    left halves at a time, in blocks of about DECODE_BLOCK // k candidates.
     When the matrix tolerates t errors and at most t positions were
     corrupted, the minimizer is unique and equals the transmitted vector.  A
     tie at the minimum, or a second candidate within distance t, raises
@@ -258,23 +299,9 @@ def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
             f"n={n} exceeds the 2^n decoding limit ({budget}); "
             f"raise the limit argument to override"
         )
-
-    def subset_sums(columns):
-        """Row a holds the sum of the columns j whose bit j is set in a."""
-        sums = np.zeros((1, k), dtype=columns.dtype)
-        for column in columns:
-            sums = np.concatenate((sums, sums + column))
-        return sums
-
-    cap = n * (matrix.q - 1)
-    # The narrowest type holding every value below; object (Python ints) when
-    # no fixed width does.
-    dtype = np.min_scalar_type(-1 - cap)
-    columns = np.array(matrix.rows, dtype=dtype).T
+    cap, dtype, h, left_sums, right = matrix._half_tables
     received = np.array([_received_symbol(v, cap) for v in y], dtype=dtype)
-    h = n // 2
-    left = (received - subset_sums(columns[:h])).T.copy()
-    right = subset_sums(columns[h:]).T.copy()
+    left = received[:, None] - left_sums
     width = right.shape[1]
     step = max(1, DECODE_BLOCK // (k * width))
     count_type = np.min_scalar_type(k)

@@ -24,18 +24,35 @@ from .core import derive_seed
 from .errors import ConstructionFailure, DecodingFailure
 
 
+# Miller-Rabin with the primes up to 41 as bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError where it is not exact."""
+    if m >= MR_EXACT_BELOW:
+        raise ValueError(f"{m} is too large to test for primality "
+                         f"(the exact test stops at {MR_EXACT_BELOW})")
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -1,6 +1,10 @@
 """Command-line behaviors: modes, exit codes, artifact determinism."""
 
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,11 @@ def test_construct_kronecker_rejects_bad_epsilon(tmp_path, capsys):
                 "--out", str(tmp_path / "x.json")])
     assert code == 2
     assert "eps1" in capsys.readouterr().err
+    # --n 0 reaches the library's check; only a missing --n is reported as such
+    for n, message in ((["--n", "0"], "need n >= 1"), ([], "--n is required")):
+        assert run(["construct", "--method", "trivial", *n,
+                    "--out", str(tmp_path / "t.json")]) == 2
+        assert capsys.readouterr().err == f"construct: {message}\n"
 
 
 def test_simulate_worst_case_over_budget(tmp_path, capsys):
@@ -227,6 +236,17 @@ def _rs_on_a_base_of_three_columns(envelope):
     return {**constructions.rs_augment(base, 1).to_json(), "seed": 0, "d_min": None}
 
 
+def _rs_base_q_2_61(envelope):
+    """The RS envelope with q = 2^61 stated on base and extended rows, and 302
+    extended rows: its field is the prime above 4 (2^61 - 1)."""
+    for part in ("base", "extended"):
+        envelope[part]["q"] = 2**61
+    extended = envelope["extended"]
+    extended["rows"] += [[0] * 4] * (302 - extended["k"])
+    extended["k"] = 302
+    return envelope
+
+
 # (construct argv, edit of the written envelope, extra simulate argv)
 MALFORMED = {
     "t-above-k": (TRIVIAL, lambda obj: obj, ["--t", "4"]),
@@ -238,6 +258,7 @@ MALFORMED = {
     "rs-design-t": (RS, _set("design_t", 2), []),
     "rs-base-entry": (RS, _set("base", "rows", 0, 1, 1), []),
     "rs-base-above-limit-u": (RS, _rs_on_a_base_of_three_columns, ["--limit-u", "2"]),
+    "rs-base-q-2-61": (RS, _rs_base_q_2_61, []),
     "kronecker-t-inner": (KRONECKER, _set("t_inner", 3), []),
     "kronecker-outer-distance": (KRONECKER, _set("outer", "D", 7), []),
     "kronecker-composed-entry": (KRONECKER, _set("composed", "rows", 0, 0, 0), []),
@@ -269,6 +290,32 @@ def test_simulate_malformed_input_is_usage_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_rs_base_of_a_huge_alphabet_loads_at_once(tmp_path, capsys):
+    # q_RS is the prime above 4 (2^61 - 1), found by Miller-Rabin; trial
+    # division did not finish on either envelope.
+    base = SignatureMatrix(q=2**61, rows=constructions.construct_trivial(4).rows)
+    valid, malformed = tmp_path / "valid.json", tmp_path / "malformed.json"
+    valid.write_text(json.dumps(
+        {**constructions.rs_augment(base, 1).to_json(), "seed": 0, "d_min": None}))
+    assert run(["construct", *RS, "--out", str(malformed)]) == 0
+    malformed.write_text(json.dumps(_rs_base_q_2_61(json.loads(malformed.read_text()))))
+    capsys.readouterr()
+    for artifact, code in ((valid, 0), (malformed, 2)):
+        start = time.perf_counter()
+        assert run(["simulate", "--in", str(artifact), "--rounds", "5"]) == code
+        assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "simulate: rounds=5 t=1 mode=random-positions-random-values failures=0\n"
+    assert captured.err.startswith("simulate: cannot load artifact: does not match")
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy costs a fresh process about 0.15 s; only decoding imports it
+    src = Path(cli.__file__).resolve().parents[1]
+    check = "import sys, sigmac.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], cwd=src, timeout=60).returncode == 0
 
 
 def test_limit_u_reaches_the_rs_base_search(tmp_path, capsys, monkeypatch):

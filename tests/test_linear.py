@@ -1,10 +1,12 @@
 """Reed-Solomon and binary-code components against independent oracles."""
 
 import json
+import math
 import random
 from itertools import combinations, product
 from typing import Sequence
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from sigmac.core import dumps_canonical
 from sigmac.errors import AmbiguousDecoding, DecodingFailure
 from sigmac.linear import (
+    MR_EXACT_BELOW,
     BinaryLinearCode,
     _nearest_codeword,
     PrimeField,
@@ -30,6 +33,32 @@ from sigmac.linear import (
 def test_is_prime_against_sympy():
     for m in range(0, 2000):
         assert is_prime(m) == sympy.isprime(m), m
+
+
+def test_is_prime_against_trial_division():
+    for m in range(100_000):
+        assert is_prime(m) == (m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))), m
+
+
+# Carmichael numbers, strong pseudoprimes to the bases 2, 3, 5, 7 and to
+# every prime up to 23, and the least one to every prime up to 37.
+@pytest.mark.parametrize("m", [561, 41041, 3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_is_prime_rejects_pseudoprimes(m):
+    assert not sympy.isprime(m)
+    assert not is_prime(m)
+
+
+def test_is_prime_is_exact_up_to_its_bound():
+    below = sympy.prevprime(MR_EXACT_BELOW)
+    assert is_prime(below) and not is_prime(below + 2)
+    for m in (MR_EXACT_BELOW, MR_EXACT_BELOW + 1, 2 ** 100):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(m)
+    with pytest.raises(ValueError):
+        smallest_prime_above(MR_EXACT_BELOW - 1)
+    # trial division took hours on this one
+    assert smallest_prime_above(4 * (2**61 - 1)) == sympy.nextprime(4 * (2**61 - 1))
 
 
 def test_smallest_prime_above():
@@ -106,24 +135,26 @@ def test_rs_decode_within_radius():
 
 def rs_decode_bruteforce(codec: RSCodec, received: Sequence[int],
                          budget: int = 200_000) -> list[int]:
-    """Independent nearest-codeword oracle over all p^k_rs messages."""
-    p = codec.field.p
-    if p ** codec.k_rs > budget:
+    """Independent nearest-codeword oracle over all p^k_rs messages.
+
+    The codewords are tabulated as combinations mod p of the k_rs systematic
+    basis codewords, in the message order of product(range(p), repeat=k_rs),
+    so the first message at the minimum distance is the one returned.
+    """
+    p, k = codec.field.p, codec.k_rs
+    if p ** k > budget:
         raise ValueError("message space too large for brute force")
     codec._check_elements(received)
-    best = None
-    best_dist = codec.n_rs + 1
-    tie = False
-    for message in product(range(p), repeat=codec.k_rs):
-        cw = rs_encode(codec, list(message))
-        dist = sum(1 for a, b in zip(received, cw) if a != b)
-        if dist < best_dist:
-            best, best_dist, tie = list(message), dist, False
-        elif dist == best_dist:
-            tie = True
-    if tie:
-        raise DecodingFailure(f"tie at distance {best_dist}")
-    return best
+    symbols = np.arange(p, dtype=np.int32)[:, None]
+    codewords = np.zeros((1, codec.n_rs), dtype=np.int32)
+    for i in range(k):
+        basis = np.array(rs_encode(codec, [int(j == i) for j in range(k)]), dtype=np.int32)
+        codewords = ((codewords[:, None, :] + symbols * basis) % p).reshape(-1, codec.n_rs)
+    dist = np.count_nonzero(codewords != np.array(received), axis=1)
+    best = int(dist.argmin())
+    if np.count_nonzero(dist == dist[best]) > 1:
+        raise DecodingFailure(f"tie at distance {dist[best]}")
+    return [int(v) for v in codewords[best, :k]]
 
 
 def binary_half_distance_decode(code: BinaryLinearCode,
