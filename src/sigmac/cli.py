@@ -10,6 +10,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -31,11 +32,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(out: Optional[str]):
+    """The --out file, opened for writing, or standard output."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            yield stream
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write_output(text: str, out: Optional[str]) -> None:
+    with _output(out) as stream:
+        stream.write(text)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -137,16 +146,18 @@ def cmd_pascal(args: argparse.Namespace) -> int:
         print("pascal: need --qmax >= 2 and --nmax >= 0", file=sys.stderr)
         return EXIT_USAGE
     if args.table:
-        q_values = [args.q] if args.q else list(range(2, args.qmax + 1))
+        q_values = [args.q] if args.q is not None else range(2, args.qmax + 1)
         if any(q < 2 for q in q_values):
             print("pascal: q must be >= 2", file=sys.stderr)
             return EXIT_USAGE
-        lines = ["q,n,k,coefficient"]
-        for q in q_values:
-            for n in range(args.nmax + 1):
-                for k, c in enumerate(pascal.row(q, n)):
-                    lines.append(f"{q},{n},{k},{c}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        # One row's lines at a time: the whole table runs to megabytes.
+        with _output(args.out) as stream:
+            stream.write("q,n,k,coefficient\n")
+            for q in q_values:
+                for n in range(args.nmax + 1):
+                    prefix = f"{q},{n},"
+                    stream.write("".join([f"{prefix}{k},{c}\n"
+                                          for k, c in enumerate(pascal.row(q, n))]))
         return EXIT_OK
     failures = 0
     checks = 0
@@ -226,7 +237,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if "d_min" not in envelope:
         envelope["d_min"] = (core.min_distinguishing_weight(matrix, limit).d_min
                              if matrix.n <= limit else None)
-    Path(args.out).write_text(core.dumps_canonical(envelope))
+    _write_output(core.dumps_canonical(envelope), args.out)
     print(f"{args.method}: wrote {args.out} "
           f"(k={matrix.k}, n={matrix.n}, q={matrix.q}, d_min={envelope['d_min']})")
     return EXIT_OK
@@ -342,6 +353,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SigmacError as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except OSError as exc:
+        # Inputs are read and checked inside the handlers, so what reaches
+        # here is a failed write of the output.
+        target = exc.filename if exc.filename is not None else "output"
+        print(f"{args.subcommand}: cannot write {target}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -300,7 +300,10 @@ def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
             f"raise the limit argument to override"
         )
     cap, dtype, h, left_sums, right = matrix._half_tables
-    received = np.array([_received_symbol(v, cap) for v in y], dtype=dtype)
+    # An int already in [0, cap] is its own symbol; only the rest, such as
+    # floats and values an error pushed out of range, need _received_symbol.
+    received = np.array([v if type(v) is int and 0 <= v <= cap else _received_symbol(v, cap)
+                         for v in y], dtype=dtype)
     left = received[:, None] - left_sums
     width = right.shape[1]
     step = max(1, DECODE_BLOCK // (k * width))

@@ -16,12 +16,12 @@ mpmath precision with a relative guard band before a violation is declared.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .errors import NoCentralCoefficient
 
@@ -51,11 +51,15 @@ class TriangleTable:
         """Row n as a fresh list of n(q-1)+1 integers."""
         if n < 0:
             raise ValueError(f"row index must be >= 0, got {n}")
+        return list(self._stored_row(n))
+
+    def _stored_row(self, n: int) -> list[int]:
+        """Row n itself, grown on demand; callers must not mutate it."""
         if n >= len(self._rows):
             with self._lock:
                 while n >= len(self._rows):
                     self._rows.append(self._next_row(self._rows[-1]))
-        return list(self._rows[n])
+        return self._rows[n]
 
     def _next_row(self, prev: list[int]) -> list[int]:
         # Sliding window over the q parents of each entry:
@@ -77,7 +81,7 @@ class TriangleTable:
             raise ValueError(f"row index must be >= 0, got {n}")
         if k < 0 or k > n * (self.q - 1):
             return 0
-        return self._rows[n][k] if n < len(self._rows) else self.row(n)[k]
+        return self._stored_row(n)[k]
 
 
 _tables: dict[int, TriangleTable] = {}
@@ -90,6 +94,20 @@ def _table(q: int) -> TriangleTable:
         with _tables_lock:
             table = _tables.setdefault(q, TriangleTable(q))
     return table
+
+
+@functools.lru_cache(maxsize=2)
+def _row_product(q: int, a: int, b: int) -> int:
+    """sum_k C(q; k, a) * C(q; k, b), read from the stored rows in place.
+
+    Callers pass a <= b, so the sum runs over the shorter row a.  The memo
+    holds two sums: enough for an identity sweep, which asks for the cross
+    sum of rows n-j and n+j twice (convolution, then dominance) and for the
+    square sum of row n once per j, and small enough that nothing builds up
+    over a sweep.
+    """
+    table = _table(q)
+    return sum(map(operator.mul, table._stored_row(a), table._stored_row(b)))
 
 
 def coefficient(q: int, k: int, n: int) -> int:
@@ -138,9 +156,7 @@ def check_convolution_identity(q: int, n: int, j: int) -> ConvolutionCheck:
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
     lhs = coefficient(q, (n - j) * (q - 1), 2 * n)
-    upper = _table(q).row(n - j)
-    other = _table(q).row(n + j)
-    rhs = sum(other[k] * upper[k] for k in range(len(upper)))
+    rhs = _row_product(q, n - j, n + j)
     return ConvolutionCheck(lhs == rhs, lhs, rhs)
 
 
@@ -160,11 +176,10 @@ def check_dominance(q: int, n: int, j: int) -> DominanceCheck:
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    full = _table(q).row(n)
-    lhs = sum(c * c for c in full)
-    short = _table(q).row(n - j)
-    other = _table(q).row(n + j)
-    rhs = sum(other[k] * short[k] for k in range(len(short)))
+    # The cross sum first: a sweep has just computed it for the convolution
+    # check, and the square sum, used last, then stays in the memo for j+1.
+    rhs = _row_product(q, n - j, n + j)
+    lhs = _row_product(q, n, n)
     return DominanceCheck(lhs >= rhs, lhs == rhs, lhs, rhs)
 
 
@@ -206,6 +221,10 @@ def check_multinomial_bound(counts: list[int]) -> bool:
     rhs_int = total ** (2 * total + 1)
     if m == 1:
         return lhs_int <= rhs_int
+    # Imported here, not with the module: only the two analytic bounds need
+    # mpmath, and its import is about a quarter of importing the CLI.
+    import mpmath
+
     prec = max(lhs_int.bit_length(), rhs_int.bit_length()) + 64
     with mpmath.workprec(prec):
         lhs = mpmath.mpf(lhs_int) * mpmath.pi ** (m - 1)
@@ -233,6 +252,8 @@ def check_central_bounds(q: int, n: int) -> CentralBoundsCheck:
     # squared form: central^2 * n * pi^(q-1) <= q^(2n+2) * (1/2)^2 * 2^(q-1) * (e/(e-1))^2
     lhs_int = central * central * n
     rhs_int = q ** (2 * n + 2) * 2 ** (q - 1)
+    import mpmath
+
     prec = max(lhs_int.bit_length(), rhs_int.bit_length()) + 64
     with mpmath.workprec(prec):
         ratio = mpmath.e / (mpmath.e - 1)
@@ -270,8 +291,5 @@ def zero_dot_probability(q: int, w_plus: int, w_minus: int) -> ZeroDotProbabilit
         raise ValueError("weights must be nonnegative")
     if w_plus + w_minus == 0:
         raise ValueError("need w_plus + w_minus >= 1")
-    lo, hi = sorted((w_plus, w_minus))
-    short = _table(q).row(lo)
-    other = _table(q).row(hi)
-    numerator = sum(other[k] * short[k] for k in range(len(short)))
+    numerator = _row_product(q, *sorted((w_plus, w_minus)))
     return ZeroDotProbability(numerator, q ** (w_plus + w_minus))

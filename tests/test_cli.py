@@ -4,11 +4,12 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from sigmac import cli, constructions, core
+from sigmac import cli, constructions, core, pascal
 from sigmac.core import SignatureMatrix, min_distinguishing_weight
 
 
@@ -26,6 +27,8 @@ def test_pascal_row_usage_errors(capsys):
     assert run(["pascal", "--row"]) == 2
     assert run(["pascal", "--q", "3", "--n", "2"]) == 2  # no mode picked
     capsys.readouterr()
+    assert run(["pascal", "--table", "--q", "0"]) == 2
+    assert capsys.readouterr() == ("", "pascal: q must be >= 2\n")
 
 
 def test_pascal_identity_sweep(capsys):
@@ -41,6 +44,61 @@ def test_pascal_table(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "q,n,k,coefficient"
     assert "3,2,2,3" in lines
+
+
+def joined_table(q_values, nmax: int) -> str:
+    """The CSV as one list of lines joined at the end, the table's first form."""
+    lines = ["q,n,k,coefficient"]
+    for q in q_values:
+        for n in range(nmax + 1):
+            for k, c in enumerate(pascal.row(q, n)):
+                lines.append(f"{q},{n},{k},{c}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("q, qmax, nmax", [(None, 2, 0), (None, 4, 9), (None, 7, 30),
+                                           (5, 2, 12), (2, 6, 0)])
+def test_streamed_table_matches_the_joined_one(tmp_path, capsys, q, qmax, nmax):
+    argv = ["pascal", "--table", "--qmax", str(qmax), "--nmax", str(nmax)]
+    if q is not None:
+        argv += ["--q", str(q)]
+    expected = joined_table([q] if q is not None else range(2, qmax + 1), nmax)
+    assert run(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    out = tmp_path / "table.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+
+
+def test_table_is_written_a_row_at_a_time(tmp_path):
+    out = tmp_path / "table.csv"
+    argv = ["pascal", "--table", "--qmax", "7", "--nmax", "100", "--out", str(out)]
+    assert run(argv) == 0  # grows the rows, which stay cached
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["pascal", "--row", "--q", "3", "--n", "4"],
+    ["pascal", "--table", "--qmax", "3", "--nmax", "4"],
+    ["bounds", "--n", "1024", "--q", "2"],
+    ["construct", "--method", "trivial", "--n", "3"],
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    target = tmp_path / "missing" / "out.txt"
+    real_row, rows = pascal.row, []
+    monkeypatch.setattr(pascal, "row", lambda q, n: rows.append(n) or real_row(q, n))
+    assert run(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{argv[0]}: cannot write {target}: No such file or directory\n"
+    if "--table" in argv:
+        assert rows == []  # the file is opened before any row is computed
 
 
 def test_construct_trivial_and_simulate(tmp_path, capsys):
@@ -311,10 +369,12 @@ def test_rs_base_of_a_huge_alphabet_loads_at_once(tmp_path, capsys):
     assert captured.err.startswith("simulate: cannot load artifact: does not match")
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy costs a fresh process about 0.15 s; only decoding imports it
+@pytest.mark.parametrize("module", ["numpy", "mpmath"])
+def test_importing_the_cli_leaves_module_unloaded(module):
+    # each costs a fresh process tens of milliseconds to import: numpy only
+    # decoding needs, mpmath only the pascal module's two analytic bounds
     src = Path(cli.__file__).resolve().parents[1]
-    check = "import sys, sigmac.cli; sys.exit('numpy' in sys.modules)"
+    check = f"import sys, sigmac.cli; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", check], cwd=src, timeout=60).returncode == 0
 
 

@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sigmac import pascal
+from sigmac import cli, pascal
 from sigmac.errors import NoCentralCoefficient
 
 # Rows frozen from the standard q=2 and q=3 triangles.
@@ -51,6 +53,32 @@ def zero_dot_bruteforce(q: int, w_plus: int, w_minus: int) -> Fraction:
         if sum(values[:w_plus]) == sum(values[w_plus:]):
             hits += 1
     return Fraction(hits, q ** (w_plus + w_minus))
+
+
+def reference_convolution(q: int, n: int, j: int) -> pascal.ConvolutionCheck:
+    """check_convolution_identity as first written: fresh rows, index loop."""
+    if not 0 <= j <= n:
+        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    lhs = pascal.coefficient(q, (n - j) * (q - 1), 2 * n)
+    upper, other = pascal.row(q, n - j), pascal.row(q, n + j)
+    rhs = sum(other[k] * upper[k] for k in range(len(upper)))
+    return pascal.ConvolutionCheck(lhs == rhs, lhs, rhs)
+
+
+def reference_dominance(q: int, n: int, j: int) -> pascal.DominanceCheck:
+    if not 0 <= j <= n:
+        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    lhs = sum(c * c for c in pascal.row(q, n))
+    short, other = pascal.row(q, n - j), pascal.row(q, n + j)
+    rhs = sum(other[k] * short[k] for k in range(len(short)))
+    return pascal.DominanceCheck(lhs >= rhs, lhs == rhs, lhs, rhs)
+
+
+def reference_zero_dot(q: int, w_plus: int, w_minus: int) -> pascal.ZeroDotProbability:
+    lo, hi = sorted((w_plus, w_minus))
+    short, other = pascal.row(q, lo), pascal.row(q, hi)
+    numerator = sum(other[k] * short[k] for k in range(len(short)))
+    return pascal.ZeroDotProbability(numerator, q ** (w_plus + w_minus))
 
 
 def test_frozen_rows_match():
@@ -217,3 +245,42 @@ def test_triangle_table_caches_consistently():
     assert table.row(8) == expand_polynomial_power(3, 8)
     with pytest.raises(ValueError):
         pascal.TriangleTable(1)
+
+
+CALLS = {
+    "convolution": (pascal.check_convolution_identity, reference_convolution),
+    "dominance": (pascal.check_dominance, reference_dominance),
+    "zero-dot": (pascal.zero_dot_probability, reference_zero_dot),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=st.lists(st.tuples(st.sampled_from(sorted(CALLS)), st.integers(2, 8),
+                                st.integers(0, 40), st.integers(0, 40)), max_size=12))
+# the same rows under two alphabets, and both orders of one pair of weights
+@example(calls=[("convolution", 2, 5, 2), ("convolution", 3, 5, 2), ("dominance", 2, 5, 2)])
+@example(calls=[("zero-dot", 3, 3, 7), ("zero-dot", 3, 7, 3), ("zero-dot", 4, 3, 7)])
+@example(calls=[("dominance", 5, 6, 1), ("dominance", 5, 6, 2), ("dominance", 6, 6, 2)])
+def test_checks_match_the_reference_in_any_call_order(calls):
+    for name, q, n, b in calls:
+        check, reference = CALLS[name]
+        # a sweep's j runs over 0..n; the zero-dot weights are any pair but (0, 0)
+        args = (q, n, b % (n + 1)) if name != "zero-dot" else (q, n, b if n or b else 1)
+        assert check(*args) == reference(*args), (name, args)
+
+
+def test_a_repeated_sweep_computes_every_row_product_again(capsys):
+    # one product per row pair: per (q, n), the n + 1 cross sums of rows
+    # n - j and n + j, the j = 0 one being row n's square sum
+    qmax, nmax = 4, 8
+    per_sweep = (qmax - 1) * (nmax + 1) * (nmax + 2) // 2
+    pascal._row_product.cache_clear()
+    products = []
+    for _ in range(2):
+        before = pascal._row_product.cache_info().misses
+        assert cli.main(["pascal", "--identity-sweep", "--qmax", str(qmax),
+                         "--nmax", str(nmax)]) == 0
+        products.append(pascal._row_product.cache_info().misses - before)
+    assert products == [per_sweep, per_sweep]
+    assert pascal._row_product.cache_info().currsize <= 2
+    capsys.readouterr()
