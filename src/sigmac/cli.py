@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import random
@@ -48,7 +49,10 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -181,7 +185,7 @@ def cmd_pascal(args: argparse.Namespace) -> int:
                     failures += 1
                     print(f"FAIL central bounds q={q} n={n}", file=sys.stderr)
     for length in range(1, 5):
-        for parts in _compositions(length, 5):
+        for parts in itertools.product(range(1, 6), repeat=length):
             checks += 1
             if not pascal.check_multinomial_bound(list(parts)):
                 failures += 1
@@ -190,18 +194,8 @@ def cmd_pascal(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def _compositions(length: int, max_part: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(1, max_part + 1):
-        for tail in _compositions(length - 1, max_part):
-            yield (head,) + tail
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     try:
-        limit = core.z_enumeration_limit(args.limit_z)
         if args.method != "kronecker" and args.n is None:
             raise ValueError("--n is required")
         if args.method == "trivial":
@@ -217,7 +211,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
                 t = math.floor(args.tau * k)
             code = cons.construct_random(args.n, args.q, t, args.seed,
                                          max_attempts=args.max_attempts,
-                                         k_override=k, limit=limit)
+                                         k_override=k, limit=args.limit_z)
         else:  # kronecker
             if args.epsilon is None or not (args.p and args.s and args.r):
                 raise ValueError("kronecker needs --epsilon, --p, --s, --r")
@@ -235,8 +229,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     matrix, envelope = code.matrix, {**code.to_json(), "seed": args.seed}
     # A random envelope carries d_min from the walk that accepted its matrix.
     if "d_min" not in envelope:
-        envelope["d_min"] = (core.min_distinguishing_weight(matrix, limit).d_min
-                             if matrix.n <= limit else None)
+        try:
+            envelope["d_min"] = core.min_distinguishing_weight(matrix, args.limit_z).d_min
+        except CapacityError:
+            envelope["d_min"] = None
     _write_output(core.dumps_canonical(envelope), args.out)
     print(f"{args.method}: wrote {args.out} "
           f"(k={matrix.k}, n={matrix.n}, q={matrix.q}, d_min={envelope['d_min']})")
@@ -244,11 +240,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        limit_z = core.z_enumeration_limit(args.limit_z)
-    except ValueError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         code = cons.load_artifact(json.loads(Path(args.artifact).read_text()))
     except (OSError, ValueError, CapacityError) as exc:
@@ -268,7 +259,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     witness = None
     if args.error_mode == core.WORST_CASE_ERRORS:
         try:
-            witness = core.adversarial_witness(matrix, t, limit_z)
+            witness = core.adversarial_witness(matrix, t, args.limit_z)
         except CapacityError as exc:
             print(f"simulate: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -283,7 +274,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         record = core.simulate_round(
             matrix, u, t, args.error_mode,
             seed=core.derive_seed(args.seed, "round", index),
-            decoder=decoder, witness=witness, limit=limit_z,
+            decoder=decoder, witness=witness,
         )
         if not record.success:
             failures += 1

@@ -34,15 +34,15 @@ from typing import Optional, Sequence
 
 from .bounds import ConstantT, TMode, achievable_random, max_correctable_fraction
 from .core import (
-    DEFAULT_U_LIMIT,
     InfoVector,
     SignatureMatrix,
+    _check_u_limit,
     decode_min_distance,
     derive_seed,
     dumps_canonical,
     min_distinguishing_weight,
 )
-from .errors import AmbiguousDecoding, CapacityError, ConstructionFailure, DecodingFailure
+from .errors import AmbiguousDecoding, ConstructionFailure, DecodingFailure
 from .linear import (
     BinaryLinearCode,
     PrimeField,
@@ -58,6 +58,11 @@ from .linear import (
 # Single-draw acceptance rate >= 50% was measured over 100 seeds at these
 # lengths; see the calibration test in the acceptance suite.
 CALIBRATED_RANDOM_K = {(8, 3, 1): 12}
+# construct_random lengthens k after each run of this many rejected draws.
+RANDOM_BATCH = 25
+# find_inner_matrix walks at most this many candidates.  Since q >= 2 and
+# p >= 1, it keeps s <= 18, inside the verifier's default 3^n limit.
+INNER_SEARCH_SPACE = 300_000
 
 
 def construct_trivial(n: int) -> SignatureMatrix:
@@ -66,13 +71,6 @@ def construct_trivial(n: int) -> SignatureMatrix:
         raise ValueError("need n >= 1")
     rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     return SignatureMatrix(q=2, rows=rows)
-
-
-def _check_decode_limit(n: int, limit_u: int | None) -> None:
-    """Raise CapacityError when a 2^n minimum-distance search exceeds limit_u."""
-    budget = DEFAULT_U_LIMIT if limit_u is None else limit_u
-    if n > budget:
-        raise CapacityError(f"n={n} exceeds the 2^n decoding limit ({budget})")
 
 
 def _as_stated(code, obj: dict):
@@ -99,7 +97,7 @@ class PlainCode:
     record: dict
 
     def decoder(self, t: int, limit_u: int | None = None):
-        _check_decode_limit(self.matrix.n, limit_u)
+        _check_u_limit(self.matrix.n, limit_u)
         return partial(decode_min_distance, matrix=self.matrix, t=t, limit=limit_u)
 
     def to_json(self) -> dict:
@@ -155,7 +153,7 @@ class AugmentedCode:
     def decoder(self, t: int, limit_u: int | None = None):
         """rs_augmented_decode (its own t); checks a non-identity base's 2^n search."""
         if not self._base_is_identity:
-            _check_decode_limit(self.base.n, limit_u)
+            _check_u_limit(self.base.n, limit_u)
         return partial(rs_augmented_decode, self)
 
     def to_json(self) -> dict:
@@ -297,13 +295,13 @@ class RandomConstruction:
 def construct_random(n: int, q: int, t: int, seed: int,
                      max_attempts: int = 100,
                      k_override: int | None = None,
-                     batch_size: int = 25,
                      limit: int | None = None) -> RandomConstruction:
     """Sample uniform k x n matrices until one verifiably tolerates t errors.
 
     Acceptance is by the exact verifier (d_min >= 2t + 1), never by formula
-    trust.  After each fully failed batch the length grows by 5% (at least
-    one row).  Deterministic: attempt i uses the child seed (seed, i).
+    trust.  After each fully failed batch of RANDOM_BATCH draws the length
+    grows by 5% (at least one row).  Deterministic: attempt i uses the child
+    seed (seed, i).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -320,7 +318,7 @@ def construct_random(n: int, q: int, t: int, seed: int,
             return RandomConstruction(matrix=matrix, t=t, seed=seed, attempts=attempt,
                                       k=k, d_min=report.d_min, planned_k=planned,
                                       escalations=escalations)
-        if attempt % batch_size == 0:
+        if attempt % RANDOM_BATCH == 0:
             k = max(k + 1, math.ceil(k * 1.05))
             escalations += 1
     raise ConstructionFailure(
@@ -337,27 +335,26 @@ class InnerSearchResult:
     space: int
 
 
-def find_inner_matrix(p: int, s: int, q: int, t_inner: int,
-                      budget: int = 300_000,
-                      limit: int | None = None) -> InnerSearchResult:
+def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult:
     """Find a p x s matrix with d_min >= 2*t_inner + 1, verified exactly.
 
     Walks all q^(p*s) candidate matrices in row-major order, so the search
-    is its own existence proof: exhausting the space proves emptiness.
+    is its own existence proof: exhausting the space proves emptiness.  A
+    space above INNER_SEARCH_SPACE is refused before the walk.
     """
     if p < 1 or s < 1:
         raise ValueError("need p >= 1 and s >= 1")
     target = 2 * t_inner + 1
     space = q ** (p * s)
-    if space > budget:
+    if space > INNER_SEARCH_SPACE:
         raise ValueError(
-            f"q^(p*s) = {space} exceeds the exhaustive budget {budget}; "
+            f"q^(p*s) = {space} exceeds the exhaustive budget {INNER_SEARCH_SPACE}; "
             f"choose a smaller --p or --s"
         )
     for checked, entries in enumerate(product(range(q), repeat=p * s), 1):
         rows = tuple(entries[i * s:(i + 1) * s] for i in range(p))
         matrix = SignatureMatrix(q=q, rows=rows)
-        if min_distinguishing_weight(matrix, limit).d_min >= target:
+        if min_distinguishing_weight(matrix).d_min >= target:
             return InnerSearchResult(matrix, checked, space)
     raise ConstructionFailure(
         f"exhausted all {space} candidate {p}x{s} matrices over q={q}: "
@@ -575,6 +572,8 @@ def build_kronecker(q: int, epsilon, p: int, s: int, r: int, seed: int = 0,
     eps1, eps2 = plan_epsilon_split(q, epsilon)
     if t_inner is None:
         t_inner = math.floor((max_correctable_fraction(q) - eps1) * p)
+    if t_inner < 0:
+        raise ValueError(f"t_inner must be >= 0, got {t_inner}")
     inner = find_inner_matrix(p, s, q, t_inner)
     if outer_kind == "repetition":
         if r != 1:

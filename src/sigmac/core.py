@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,8 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .errors import AmbiguousDecoding, CapacityError, DecodingFailure
 
 # Hard enumeration caps: verification walks 3^n sign patterns, decoding 2^n
-# activity vectors.  Overridable per call or via SIGMAC_LIMIT_Z.
+# activity vectors.  A call's `limit` argument overrides them; otherwise they
+# are read at the call, and every 2^n search is checked by _check_u_limit.
 DEFAULT_Z_LIMIT = 18
 DEFAULT_U_LIMIT = 24
 # Row comparisons the decoder holds at once, k per candidate; bounds its
@@ -119,18 +119,6 @@ class VerificationReport:
     z_count_checked: int
 
 
-def z_enumeration_limit(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("SIGMAC_LIMIT_Z")
-    if not env:
-        return DEFAULT_Z_LIMIT
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"SIGMAC_LIMIT_Z must be an integer, got {env!r}") from None
-
-
 def _check_info_vector(u: Sequence[int], n: int) -> None:
     if len(u) != n:
         raise ValueError(f"activity vector length {len(u)} != n = {n}")
@@ -176,11 +164,11 @@ def min_distinguishing_weight(matrix: SignatureMatrix,
     is found (no smaller value exists).
     """
     n, k = matrix.n, matrix.k
-    budget = z_enumeration_limit(limit)
+    budget = DEFAULT_Z_LIMIT if limit is None else limit
     if n > budget:
         raise CapacityError(
             f"n={n} exceeds the 3^n enumeration limit ({budget}); raise the "
-            f"limit argument or SIGMAC_LIMIT_Z to override"
+            f"limit argument to override"
         )
     support = _column_support(matrix)
     # Start at z = (-1,...,-1), i.e. all digits 0 with z_j = digit_j - 1.
@@ -238,6 +226,16 @@ def tolerates(matrix: SignatureMatrix, t: int, limit: int | None = None) -> bool
     return min_distinguishing_weight(matrix, limit).d_min >= 2 * t + 1
 
 
+def _check_u_limit(n: int, limit: int | None) -> None:
+    """Raise CapacityError when a 2^n search over n columns exceeds `limit`.
+
+    A `limit` of None stands for DEFAULT_U_LIMIT, read at the call.
+    """
+    budget = DEFAULT_U_LIMIT if limit is None else limit
+    if n > budget:
+        raise CapacityError(f"n={n} exceeds the 2^n decoding limit ({budget})")
+
+
 def _received_symbol(value, cap: int) -> int:
     """`value` as an int in [0, cap], or -1 when it equals no such int.
 
@@ -293,12 +291,7 @@ def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
     n, k = matrix.n, matrix.k
     if len(y) != k:
         raise ValueError(f"received word length {len(y)} != k = {k}")
-    budget = DEFAULT_U_LIMIT if limit is None else limit
-    if n > budget:
-        raise CapacityError(
-            f"n={n} exceeds the 2^n decoding limit ({budget}); "
-            f"raise the limit argument to override"
-        )
+    _check_u_limit(n, limit)
     cap, dtype, h, left_sums, right = matrix._half_tables
     # An int already in [0, cap] is its own symbol; only the rest, such as
     # floats and values an error pushed out of range, need _received_symbol.
@@ -404,19 +397,18 @@ _FIND_WITNESS = object()
 def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
                    error_mode: str, seed: int,
                    decoder: Callable[[ChannelWord], InfoVector] | None = None,
-                   witness: Optional[AdversarialWitness] = _FIND_WITNESS,
-                   limit: int | None = None) -> TrialRecord:
+                   witness: Optional[AdversarialWitness] = _FIND_WITNESS) -> TrialRecord:
     """One encode / corrupt / decode round, deterministic given the seed.
 
     In random mode, exactly t positions are hit with values drawn uniformly
     from [-n(q-1), n(q-1)] minus {0}.  In worst-case mode the transmitted
     vector and errors come from adversarial_witness; when no witness exists
     (the matrix tolerates t) the round falls back to a random draw and notes
-    that.  A caller running many rounds passes
-    adversarial_witness(matrix, t, limit) as `witness`, None included, so
-    that the 3^n walk runs once; left out, it runs here, within `limit`.
-    A decoder for the specific code may be injected; the default is
-    minimum-distance decoding at budget t, within its own 2^n limit.
+    that.  A caller running many rounds passes adversarial_witness(matrix, t)
+    as `witness`, None included, so that the 3^n walk runs once; left out,
+    it runs here, within the default limit.  A decoder for the specific code
+    may be injected; the default is minimum-distance decoding at budget t,
+    within the default 2^n limit.
     """
     _check_info_vector(u, matrix.n)
     if t < 0 or t > matrix.k:
@@ -425,7 +417,7 @@ def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
     transmitted, errors = tuple(u), None
     if error_mode == WORST_CASE_ERRORS:
         if witness is _FIND_WITNESS:
-            witness = adversarial_witness(matrix, t, limit)
+            witness = adversarial_witness(matrix, t)
         if witness is None:
             note = "no adversarial witness exists at this budget; random draw used"
         else:

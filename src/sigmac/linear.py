@@ -29,6 +29,13 @@ from .errors import ConstructionFailure, DecodingFailure
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
+# BinaryLinearCode.min_distance walks 2^K codewords; an outer code read from
+# an artifact is untrusted, so K is capped to bound the work it can ask for.
+MAX_EXHAUSTIVE_K = 20
+# build_outer_code's random generators: per length multiplier, and in all.
+OUTER_ATTEMPTS_PER_C1 = 200
+OUTER_ATTEMPTS = 5000
+
 
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError where it is not exact."""
@@ -270,23 +277,13 @@ class BinaryLinearCode:
         """_nearest_codeword's answers by received bit mask, as decoding meets them."""
         return {}
 
-    def rank(self) -> int:
-        masks = [m for m in self._row_masks if m]
-        rank = 0
-        for _ in range(len(masks)):
-            if not masks:
-                break
-            pivot = max(masks)
-            masks.remove(pivot)
-            rank += 1
-            top = pivot.bit_length() - 1
-            masks = [m ^ pivot if (m >> top) & 1 else m for m in masks]
-            masks = [m for m in masks if m]
-        return rank
+    def min_distance(self) -> int:
+        """Exact minimum distance by Gray-code enumeration of all codewords.
 
-    def min_distance(self, max_k: int = 20) -> int:
-        """Exact minimum distance by Gray-code enumeration of all codewords."""
-        if self.K > max_k:
+        Taken over the nonzero messages, so a generator of rank below K,
+        whose kernel holds a nonzero message, has distance 0.
+        """
+        if self.K > MAX_EXHAUSTIVE_K:
             raise ValueError(f"K={self.K} too large for exhaustive distance")
         masks = self._row_masks
         cw = 0
@@ -295,7 +292,7 @@ class BinaryLinearCode:
             j = (counter & -counter).bit_length() - 1
             cw ^= masks[j]
             w = cw.bit_count()
-            if 0 < w < best:
+            if w < best:
                 best = w
         return best
 
@@ -335,12 +332,13 @@ def repetition_code(n_bits: int) -> BinaryLinearCode:
     return BinaryLinearCode(generator=((1,) * n_bits,), design_distance=n_bits)
 
 
-def build_outer_code(r: int, epsilon2, seed: int = 0,
-                     max_attempts: int = 5000) -> BinaryLinearCode:
+def build_outer_code(r: int, epsilon2, seed: int = 0) -> BinaryLinearCode:
     """Find an [c1*r, r, >= ceil((1/2 - epsilon2) * c1*r)] binary code.
 
-    c1 starts at ceil(2 / (1 + 2*epsilon2)) and is raised whenever seeded
-    random generator matrices keep failing the exact distance check.  r = 1
+    c1 starts at ceil(2 / (1 + 2*epsilon2)) and is raised after each
+    OUTER_ATTEMPTS_PER_C1 seeded random generator matrices that fail the
+    exact distance check, OUTER_ATTEMPTS in all.  The target is at least 1,
+    so the check also rejects a generator of rank below r.  r = 1
     deterministically yields the all-ones (repetition) generator.  The seed
     of the successful attempt is recorded on the returned code.
     """
@@ -349,33 +347,25 @@ def build_outer_code(r: int, epsilon2, seed: int = 0,
     eps = Fraction(epsilon2)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError(f"epsilon2 must lie in (0, 1/2), got {epsilon2}")
-    c1 = math.ceil(Fraction(2) / (1 + 2 * eps))
-    attempts = 0
-    per_c1 = 200
-    while attempts < max_attempts:
+    first_c1 = math.ceil(Fraction(2) / (1 + 2 * eps))
+    for c1 in range(first_c1, first_c1 + OUTER_ATTEMPTS // OUTER_ATTEMPTS_PER_C1):
         n_bits = c1 * r
         target = math.ceil((Fraction(1, 2) - eps) * n_bits)
         if r == 1:
             return BinaryLinearCode(generator=((1,) * n_bits,),
                                     design_distance=target, seed=seed)
-        for local in range(per_c1):
-            attempts += 1
+        for local in range(OUTER_ATTEMPTS_PER_C1):
             attempt_seed = derive_seed(seed, "outer-code", c1, local)
             rng = random.Random(attempt_seed)
             gen = tuple(tuple(rng.randint(0, 1) for _ in range(n_bits))
                         for _ in range(r))
             code = BinaryLinearCode(generator=gen, design_distance=target,
                                     seed=attempt_seed)
-            if code.rank() < r:
-                continue
             if code.min_distance() >= target:
                 return code
-            if attempts >= max_attempts:
-                break
-        c1 += 1
     raise ConstructionFailure(
-        f"no [{c1 * r}, {r}] generator with distance target found",
-        attempts=attempts,
+        f"no [{n_bits}, {r}] generator with distance target found",
+        attempts=OUTER_ATTEMPTS,
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from sigmac import cli, constructions, core, pascal
 from sigmac.core import SignatureMatrix, min_distinguishing_weight
+from sigmac.linear import BinaryLinearCode
 
 
 def run(argv):
@@ -294,6 +295,15 @@ def _rs_on_a_base_of_three_columns(envelope):
     return {**constructions.rs_augment(base, 1).to_json(), "seed": 0, "d_min": None}
 
 
+def _outer_of_rank_one(envelope):
+    """A Kronecker envelope whose outer generator repeats one row."""
+    loaded = constructions.load_artifact(envelope)
+    twice = BinaryLinearCode(generator=loaded.outer.generator * 2,
+                             design_distance=loaded.outer.design_distance)
+    code = constructions.kronecker_compose(twice, loaded.inner, t_inner=loaded.t_inner)
+    return {**code.to_json(), "seed": 0, "d_min": 0}
+
+
 def _rs_base_q_2_61(envelope):
     """The RS envelope with q = 2^61 stated on base and extended rows, and 302
     extended rows: its field is the prime above 4 (2^61 - 1)."""
@@ -322,6 +332,7 @@ MALFORMED = {
     "kronecker-composed-entry": (KRONECKER, _set("composed", "rows", 0, 0, 0), []),
     "kronecker-certified-budget": (KRONECKER, _set("certified_budget", 4), []),
     "kronecker-eps1-zero-denominator": (KRONECKER, _set("eps1", "1/0"), []),
+    "kronecker-outer-rank-deficient": (KRONECKER, _outer_of_rank_one, ["--t", "0"]),
     "bare-matrix-not-decodable": (
         TRIVIAL, lambda obj: {"kind": "matrix", **SignatureMatrix(q=2, rows=((1, 1),)).to_json()},
         ["--error-mode", "worst-case-from-witness"]),
@@ -387,6 +398,12 @@ def test_limit_u_reaches_the_rs_base_search(tmp_path, capsys, monkeypatch):
     assert run(["simulate", "--in", str(artifact), "--rounds", "5", "--limit-u", "3"]) == 0
     assert capsys.readouterr().out == \
         "simulate: rounds=5 t=1 mode=random-positions-random-values failures=0\n"
+    # without --limit-u, the lowered default is the one every decoder reads
+    assert run(["simulate", "--in", str(artifact), "--rounds", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "simulate: n=3 exceeds the 2^n decoding limit (2); raise --limit-u to override\n"
 
 
 def test_bare_matrix_budget_is_checked_like_every_family(tmp_path, capsys):
@@ -431,19 +448,22 @@ def test_construct_kronecker_inner_space_above_budget(tmp_path, capsys):
         "choose a smaller --p or --s"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", *TRIVIAL, "--out", "{dir}/t.json"],
-    ["simulate", "--in", "{dir}/t.json", "--rounds", "5"],
-])
-def test_malformed_limit_z_env_is_usage_error(tmp_path, capsys, monkeypatch, argv):
-    assert run(["construct", *TRIVIAL, "--out", str(tmp_path / "t.json")]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("SIGMAC_LIMIT_Z", "abc")
-    assert run([part.format(dir=tmp_path) for part in argv]) == 2
+def test_construct_kronecker_negative_inner_t(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    assert run(["construct", *KRONECKER[:-1], "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "construct: t_inner must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, method", [("--tau", RANDOM), ("--epsilon", KRONECKER)])
+def test_zero_denominator_is_usage_error(tmp_path, capsys, option, method):
+    out = tmp_path / "a.json"
+    assert run(["construct", *method, option, "1/0", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"{argv[0]}: SIGMAC_LIMIT_Z must be an integer, got 'abc'"]
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {option}: zero denominator in '1/0'")
+    assert not out.exists()
 
 
 def test_main_parses_each_call_afresh(tmp_path, capsys):

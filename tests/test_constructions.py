@@ -187,8 +187,8 @@ def test_construct_random_t0_has_distinct_nonzero_columns():
 def test_construct_random_exhausts_and_escalates():
     with pytest.raises(ConstructionFailure) as info:
         cons.construct_random(8, 2, 2, seed=0, k_override=2,
-                              max_attempts=10, batch_size=5)
-    assert info.value.attempts == 10
+                              max_attempts=cons.RANDOM_BATCH + 5)
+    assert info.value.attempts == cons.RANDOM_BATCH + 5
     assert "escalation" in str(info.value)
 
 
@@ -317,6 +317,16 @@ def test_kronecker_json_round_trip():
     tampered["outer"]["D"] = 7
     with pytest.raises(ValueError, match="outer code distance"):
         cons.KroneckerCode.from_json(tampered)
+
+
+def test_a_rank_deficient_outer_code_does_not_load():
+    # Two equal generator rows: the composed matrix has two equal user
+    # blocks, so its d_min is 0, whatever D the envelope states.
+    twice = BinaryLinearCode(generator=((1,) * 6,) * 2, design_distance=6)
+    code = cons.kronecker_compose(twice, kronecker_fixture().inner, t_inner=1)
+    assert code.design_t == 5 and min_distinguishing_weight(code.matrix).d_min == 0
+    with pytest.raises(ValueError, match="outer code distance"):
+        cons.load_artifact(json.loads(dumps_canonical(code.to_json())))
 
 
 def test_build_kronecker_end_to_end():
@@ -515,7 +525,7 @@ def random_outer_codes(draw):
     n_bits = 6 - draw(st.integers(0, 5))
     rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n_bits), min_size=1, max_size=2))
     code = with_true_distance(rows)
-    assume(code.rank() == code.K)
+    assume(code.min_distance() > 0)   # full rank
     return code
 
 

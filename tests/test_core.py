@@ -148,14 +148,6 @@ def test_capacity_limit():
         decode_min_distance((0, 0, 0, 0), m, 0, limit=3)
 
 
-def test_z_limit_env_override(monkeypatch):
-    monkeypatch.setenv("SIGMAC_LIMIT_Z", "3")
-    with pytest.raises(CapacityError):
-        min_distinguishing_weight(identity(4))
-    monkeypatch.setenv("SIGMAC_LIMIT_Z", "4")
-    assert min_distinguishing_weight(identity(4)).d_min == 1
-
-
 def test_tolerates():
     assert tolerates(identity(3), 0)
     assert not tolerates(identity(3), 1)
@@ -263,15 +255,6 @@ def test_simulate_round_given_witness_skips_the_walk(monkeypatch):
                            witness=None)
     assert given == found and given.note.startswith("no adversarial witness")
     assert walks == []
-
-
-def test_simulate_round_limit_bounds_only_the_verifier():
-    # limit is the 3^n budget; the default decoder keeps its own 2^n limit
-    matrix = identity(6)
-    u = (1, 0, 1, 1, 0, 0)
-    assert simulate_round(matrix, u, 0, RANDOM_ERRORS, seed=1, limit=5).success
-    with pytest.raises(CapacityError):
-        simulate_round(matrix, u, 0, WORST_CASE_ERRORS, seed=1, limit=5)
 
 
 def test_simulate_round_bad_mode():

@@ -34,10 +34,7 @@ def reference_decode(y: Sequence[int], matrix: SignatureMatrix, t: int,
         raise ValueError(f"received word length {len(y)} != k = {k}")
     budget = DEFAULT_U_LIMIT if limit is None else limit
     if n > budget:
-        raise CapacityError(
-            f"n={n} exceeds the 2^n decoding limit ({budget}); "
-            f"raise the limit argument to override"
-        )
+        raise CapacityError(f"n={n} exceeds the 2^n decoding limit ({budget})")
     support = _column_support(matrix)
     u = [0] * n
     diff = list(y)
