@@ -205,9 +205,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         elif args.method == "random":
             t, k = args.t, args.k
             if args.tau is not None:
-                plan = cons.plan_random_length(
-                    args.n, args.q, bounds_mod.LinearTau(args.tau))
-                k = plan.k if k is None else k
+                if k is None:
+                    k = cons.plan_random_length(args.n, args.q, bounds_mod.LinearTau(args.tau))
                 t = math.floor(args.tau * k)
             code = cons.construct_random(args.n, args.q, t, args.seed,
                                          max_attempts=args.max_attempts,
@@ -223,6 +222,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"construction failed after {exc.attempts} attempts: {exc}",
               file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except CapacityError as exc:
+        print(f"construct: {exc}; raise --limit-z to override", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, SigmacError) as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -261,7 +263,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         try:
             witness = core.adversarial_witness(matrix, t, args.limit_z)
         except CapacityError as exc:
-            print(f"simulate: {exc}", file=sys.stderr)
+            print(f"simulate: {exc}; raise --limit-z to override", file=sys.stderr)
             return EXIT_USAGE
         if witness is not None and args.t is None:
             print(f"simulate: the matrix does not tolerate the artifact's design_t = {t}",

@@ -242,29 +242,20 @@ def rs_augmented_decode(code: AugmentedCode, y: Sequence[int]) -> InfoVector:
     return decode_min_distance(tuple(word), code.base, 0, code.base.n)
 
 
-@dataclass(frozen=True)
-class PlannedLength:
-    k: int
-    formula_value: float
-    omitted_terms: tuple[str, ...]
-
-
-def plan_random_length(n: int, q: int, t_mode: TMode) -> PlannedLength:
-    """Code length at which random search is expected to succeed.
+def plan_random_length(n: int, q: int, t_mode: TMode) -> int:
+    """Code length k at which random search is expected to succeed.
 
     Constant t: the smallest integer strictly above the closed-form value;
     linear tau: the smallest integer at least the closed-form value.  The
-    unstated O(.) correction is excluded and flagged; construct_random
-    compensates by escalating k when attempts exhaust.
+    unstated O(.) correction is excluded (bounds.RANDOM_OMITTED names it);
+    construct_random compensates by escalating k when attempts exhaust.
     """
     value = achievable_random(n, q, t_mode)
     if isinstance(t_mode, ConstantT):
         k = math.floor(value) + 1
     else:
         k = math.ceil(value)
-    from .bounds import RANDOM_OMITTED
-    return PlannedLength(k=max(k, 1), formula_value=value,
-                         omitted_terms=(RANDOM_OMITTED,))
+    return max(k, 1)
 
 
 @dataclass(frozen=True)
@@ -305,8 +296,10 @@ def construct_random(n: int, q: int, t: int, seed: int,
     """
     if t < 0:
         raise ValueError("t must be >= 0")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     planned = k_override if k_override is not None \
-        else plan_random_length(n, q, ConstantT(t)).k
+        else plan_random_length(n, q, ConstantT(t))
     k = planned
     escalations = 0
     for attempt in range(1, max_attempts + 1):
@@ -332,7 +325,6 @@ def construct_random(n: int, q: int, t: int, seed: int,
 class InnerSearchResult:
     matrix: SignatureMatrix
     checked: int
-    space: int
 
 
 def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult:
@@ -355,7 +347,7 @@ def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult
         rows = tuple(entries[i * s:(i + 1) * s] for i in range(p))
         matrix = SignatureMatrix(q=q, rows=rows)
         if min_distinguishing_weight(matrix).d_min >= target:
-            return InnerSearchResult(matrix, checked, space)
+            return InnerSearchResult(matrix, checked)
     raise ConstructionFailure(
         f"exhausted all {space} candidate {p}x{s} matrices over q={q}: "
         f"none reaches d_min >= {target}",

@@ -115,7 +115,6 @@ def dumps_canonical(obj) -> str:
 class VerificationReport:
     d_min: int
     witness_z: tuple[int, ...]
-    max_tolerable_t: int
     z_count_checked: int
 
 
@@ -166,10 +165,7 @@ def min_distinguishing_weight(matrix: SignatureMatrix,
     n, k = matrix.n, matrix.k
     budget = DEFAULT_Z_LIMIT if limit is None else limit
     if n > budget:
-        raise CapacityError(
-            f"n={n} exceeds the 3^n enumeration limit ({budget}); raise the "
-            f"limit argument to override"
-        )
+        raise CapacityError(f"n={n} exceeds the 3^n enumeration limit ({budget})")
     support = _column_support(matrix)
     # Start at z = (-1,...,-1), i.e. all digits 0 with z_j = digit_j - 1.
     y = [-sum(r) for r in matrix.rows]
@@ -211,12 +207,7 @@ def min_distinguishing_weight(matrix: SignatureMatrix,
             if nonzero < best:
                 best = nonzero
                 witness = tuple(d - 1 for d in digits)
-    return VerificationReport(
-        d_min=best,
-        witness_z=witness,
-        max_tolerable_t=(best - 1) // 2,
-        z_count_checked=checked,
-    )
+    return VerificationReport(d_min=best, witness_z=witness, z_count_checked=checked)
 
 
 def tolerates(matrix: SignatureMatrix, t: int, limit: int | None = None) -> bool:
@@ -370,8 +361,6 @@ class TrialRecord:
     transmitted: InfoVector
     decoded: Optional[InfoVector]
     errors: dict[int, int]
-    mode: str
-    seed: int
     note: str = ""
 
 
@@ -431,7 +420,6 @@ def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
     try:
         decoded = decode(received)
     except (AmbiguousDecoding, DecodingFailure) as exc:
-        return TrialRecord(False, transmitted, None, errors, error_mode, seed,
+        return TrialRecord(False, transmitted, None, errors,
                            note=f"{type(exc).__name__}: {exc}")
-    return TrialRecord(decoded == transmitted, transmitted, decoded, errors,
-                       error_mode, seed, note=note)
+    return TrialRecord(decoded == transmitted, transmitted, decoded, errors, note=note)

@@ -81,12 +81,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(x, self.p - 2, self.p)
-
 
 def _solve_mod(rows: list[list[int]], p: int) -> list[int] | None:
     """Solution of a square system over F_p given as augmented rows, or None if singular.
@@ -295,17 +289,6 @@ class BinaryLinearCode:
             if w < best:
                 best = w
         return best
-
-    def encode_bits(self, message: Sequence[int]) -> tuple[int, ...]:
-        if len(message) != self.K:
-            raise ValueError(f"message length {len(message)} != K = {self.K}")
-        out = [0] * self.N
-        for j, bit in enumerate(message):
-            if bit:
-                row = self.generator[j]
-                for i in range(self.N):
-                    out[i] ^= row[i]
-        return tuple(out)
 
     def to_json(self) -> dict:
         return {

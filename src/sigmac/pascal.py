@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,70 +29,42 @@ from .errors import NoCentralCoefficient
 GUARD_BAND = 1e-9
 
 
-class TriangleTable:
-    """Lazily grown rows of one q-ary triangle.
-
-    Rows are append-only: once computed they are never mutated, so a shared
-    table may be read concurrently after the rows of interest exist.  Row
-    extension itself is serialized by an internal lock.
-    """
-
-    def __init__(self, q: int, max_row: int | None = None):
-        if q < 2:
-            raise ValueError(f"alphabet size q must be >= 2, got {q}")
-        self.q = q
-        self._rows: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
-        if max_row is not None:
-            self.row(max_row)
-
-    def row(self, n: int) -> list[int]:
-        """Row n as a fresh list of n(q-1)+1 integers."""
-        if n < 0:
-            raise ValueError(f"row index must be >= 0, got {n}")
-        return list(self._stored_row(n))
-
-    def _stored_row(self, n: int) -> list[int]:
-        """Row n itself, grown on demand; callers must not mutate it."""
-        if n >= len(self._rows):
-            with self._lock:
-                while n >= len(self._rows):
-                    self._rows.append(self._next_row(self._rows[-1]))
-        return self._rows[n]
-
-    def _next_row(self, prev: list[int]) -> list[int]:
-        # Sliding window over the q parents of each entry:
-        # new[k] = new[k-1] + prev[k] - prev[k-q].
-        q = self.q
-        size = len(prev) + q - 1
-        new = [0] * size
-        window = 0
-        for k in range(size):
-            window += prev[k] if k < len(prev) else 0
-            if k - q >= 0 and k - q < len(prev):
-                window -= prev[k - q]
-            new[k] = window
-        return new
-
-    def coefficient(self, k: int, n: int) -> int:
-        """C(q; k, n), with 0 outside the range 0 <= k <= n(q-1)."""
-        if n < 0:
-            raise ValueError(f"row index must be >= 0, got {n}")
-        if k < 0 or k > n * (self.q - 1):
-            return 0
-        return self._stored_row(n)[k]
+# Rows of each q-ary triangle computed so far, by q.  Rows are only ever
+# appended and never mutated, so they are kept for the life of the process
+# and _stored_row hands them out without copying.
+_rows: dict[int, list[list[int]]] = {}
 
 
-_tables: dict[int, TriangleTable] = {}
-_tables_lock = threading.Lock()
+def _check_row(q: int, n: int) -> None:
+    if q < 2:
+        raise ValueError(f"alphabet size q must be >= 2, got {q}")
+    if n < 0:
+        raise ValueError(f"row index must be >= 0, got {n}")
 
 
-def _table(q: int) -> TriangleTable:
-    table = _tables.get(q)
-    if table is None:
-        with _tables_lock:
-            table = _tables.setdefault(q, TriangleTable(q))
-    return table
+def _next_row(prev: list[int], q: int) -> list[int]:
+    # Sliding window over the q parents of each entry:
+    # new[k] = new[k-1] + prev[k] - prev[k-q].
+    size = len(prev) + q - 1
+    new = [0] * size
+    window = 0
+    for k in range(size):
+        window += prev[k] if k < len(prev) else 0
+        if k - q >= 0 and k - q < len(prev):
+            window -= prev[k - q]
+        new[k] = window
+    return new
+
+
+def _stored_row(q: int, n: int) -> list[int]:
+    """Row n >= 0 itself, grown on demand; callers must not mutate it."""
+    rows = _rows.get(q)
+    if rows is None:
+        _check_row(q, n)
+        rows = _rows[q] = [[1]]
+    while n >= len(rows):
+        rows.append(_next_row(rows[-1], q))
+    return rows[n]
 
 
 @functools.lru_cache(maxsize=2)
@@ -106,8 +77,7 @@ def _row_product(q: int, a: int, b: int) -> int:
     square sum of row n once per j, and small enough that nothing builds up
     over a sweep.
     """
-    table = _table(q)
-    return sum(map(operator.mul, table._stored_row(a), table._stored_row(b)))
+    return sum(map(operator.mul, _stored_row(q, a), _stored_row(q, b)))
 
 
 def coefficient(q: int, k: int, n: int) -> int:
@@ -116,12 +86,16 @@ def coefficient(q: int, k: int, n: int) -> int:
     Returns 0 when k lies outside [0, n(q-1)], matching the implicit
     zero-padding of the recurrence.  Raises ValueError for q < 2 or n < 0.
     """
-    return _table(q).coefficient(k, n)
+    _check_row(q, n)
+    if k < 0 or k > n * (q - 1):
+        return 0
+    return _stored_row(q, n)[k]
 
 
 def row(q: int, n: int) -> list[int]:
-    """The full n-th row; length n(q-1)+1, entries summing to q^n."""
-    return _table(q).row(n)
+    """The full n-th row, as a fresh list; length n(q-1)+1, entries summing to q^n."""
+    _check_row(q, n)
+    return list(_stored_row(q, n))
 
 
 def central_coefficient(q: int, n: int) -> int:
@@ -263,33 +237,19 @@ def check_central_bounds(q: int, n: int) -> CentralBoundsCheck:
     return CentralBoundsCheck(power_bound, bool(sqrt_bound), central)
 
 
-@dataclass(frozen=True)
-class ZeroDotProbability:
+def zero_dot_probability(q: int, w_plus: int, w_minus: int) -> Fraction:
     """Exact probability that a random q-ary row is orthogonal to a sign pattern.
 
     For a row r drawn uniformly from {0,...,q-1}^(w_plus+w_minus), this is
     the probability that the sum over the w_plus "+1" coordinates equals the
-    sum over the w_minus "-1" coordinates.
-    """
-
-    numerator: int
-    denominator: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
-def zero_dot_probability(q: int, w_plus: int, w_minus: int) -> ZeroDotProbability:
-    """Probability of a zero dot product with w_plus ones and w_minus minus-ones.
-
-    The numerator counts, via the convolution identity, the pairs of partial
-    sums that coincide: sum_k C(q; k, w_plus) * C(q; k, w_minus).  The
-    denominator is q^(w_plus + w_minus).  Requires w_plus + w_minus >= 1.
+    sum over the w_minus "-1" coordinates.  The numerator counts, via the
+    convolution identity, the pairs of partial sums that coincide:
+    sum_k C(q; k, w_plus) * C(q; k, w_minus).  The denominator is
+    q^(w_plus + w_minus).  Requires w_plus + w_minus >= 1.
     """
     if w_plus < 0 or w_minus < 0:
         raise ValueError("weights must be nonnegative")
     if w_plus + w_minus == 0:
         raise ValueError("need w_plus + w_minus >= 1")
     numerator = _row_product(q, *sorted((w_plus, w_minus)))
-    return ZeroDotProbability(numerator, q ** (w_plus + w_minus))
+    return Fraction(numerator, q ** (w_plus + w_minus))

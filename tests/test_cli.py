@@ -455,6 +455,29 @@ def test_construct_kronecker_negative_inner_t(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_3n_limit_advice_names_limit_z(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["construct", *RANDOM, "--limit-z", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "construct: n=8 exceeds the 3^n enumeration limit (5); raise --limit-z to override\n")
+    assert not out.exists()
+    assert run(["construct", *RANDOM, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["simulate", "--in", str(out), "--limit-z", "3",
+                "--error-mode", "worst-case-from-witness"]) == 2
+    assert capsys.readouterr() == (
+        "", "simulate: n=8 exceeds the 3^n enumeration limit (3); raise --limit-z to override\n")
+
+
+@pytest.mark.parametrize("attempts", ["0", "-3"])
+def test_max_attempts_below_one_is_usage_error(tmp_path, capsys, attempts):
+    out = tmp_path / "r.json"
+    assert run(["construct", "--method", "random", "--n", "6", "--q", "3", "--k", "10",
+                "--max-attempts", attempts, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"construct: max_attempts must be >= 1, got {attempts}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, method", [("--tau", RANDOM), ("--epsilon", KRONECKER)])
 def test_zero_denominator_is_usage_error(tmp_path, capsys, option, method):
     out = tmp_path / "a.json"

@@ -1,6 +1,7 @@
 """Construction pipelines, their decoders, and cross-checks between them."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sigmac import constructions as cons
-from sigmac.bounds import ConstantT, LinearTau, max_correctable_fraction
+from sigmac.bounds import ConstantT, LinearTau, achievable_random, max_correctable_fraction
 from sigmac.core import (
     SignatureMatrix,
     apply_errors,
@@ -147,17 +148,18 @@ def test_augmented_code_json_round_trip():
 
 
 def test_plan_random_length():
-    plan = cons.plan_random_length(1024, 2, LinearTau(0.0))
-    assert plan.k == 305  # ceil(2*1024*log2(3) / (10 + log2(pi/2)))
-    assert plan.omitted_terms
+    # ceil(2*1024*log2(3) / (10 + log2(pi/2)))
+    assert cons.plan_random_length(1024, 2, LinearTau(0.0)) == 305
     # constant-0 and linear-0 leading terms differ by the +2t+1 = +1 shift
-    const = cons.plan_random_length(1024, 2, ConstantT(0))
-    assert const.formula_value == pytest.approx(plan.formula_value + 1)
+    constant = achievable_random(1024, 2, ConstantT(0))
+    assert constant == pytest.approx(achievable_random(1024, 2, LinearTau(0.0)) + 1)
+    assert cons.plan_random_length(1024, 2, ConstantT(0)) == math.floor(constant) + 1
     # monotone increasing in tau, up to the nonexistence threshold
     previous = 0.0
     for tau in [0.0, 0.1, 0.2, 0.3, 0.33]:
-        value = cons.plan_random_length(256, 3, LinearTau(tau)).formula_value
+        value = achievable_random(256, 3, LinearTau(tau))
         assert value > previous
+        assert cons.plan_random_length(256, 3, LinearTau(tau)) == math.ceil(value)
         previous = value
     with pytest.raises(ValueError):
         cons.plan_random_length(256, 3, LinearTau(Fraction(1, 3)))
@@ -196,7 +198,7 @@ def test_find_inner_matrix_exhaustive():
     result = cons.find_inner_matrix(3, 2, 3, 1)
     assert result.matrix.rows == ((1, 2), (1, 2), (1, 2))
     assert min_distinguishing_weight(result.matrix).d_min >= 3
-    assert result.checked <= result.space == 3 ** 6
+    assert result.checked <= 3 ** 6
 
 
 def test_find_inner_matrix_t0():
@@ -360,9 +362,9 @@ def test_no_construction_beats_the_converse():
         (kronecker_fixture().matrix, kronecker_fixture().certified_budget),
     ]
     for matrix, design_t in produced:
-        report = min_distinguishing_weight(matrix)
-        assert report.max_tolerable_t >= design_t
-        for t in (design_t, report.max_tolerable_t):
+        max_tolerable_t = (min_distinguishing_weight(matrix).d_min - 1) // 2
+        assert max_tolerable_t >= design_t
+        for t in (design_t, max_tolerable_t):
             check = pairwise_counting_check(matrix, Fraction(t, matrix.k))
             assert check.identity_holds and check.inequality_holds
     # at moderate size the asymptotic threshold does hold for the designs

@@ -111,7 +111,6 @@ def test_apply_errors():
 def test_min_distinguishing_weight_basics():
     report = min_distinguishing_weight(identity(3))
     assert report.d_min == 1
-    assert report.max_tolerable_t == 0
     assert report.z_count_checked == 3 ** 3 - 1
     duplicated = SignatureMatrix(q=2, rows=((1, 1), (0, 0)))
     assert min_distinguishing_weight(duplicated).d_min == 0

@@ -74,11 +74,11 @@ def reference_dominance(q: int, n: int, j: int) -> pascal.DominanceCheck:
     return pascal.DominanceCheck(lhs >= rhs, lhs == rhs, lhs, rhs)
 
 
-def reference_zero_dot(q: int, w_plus: int, w_minus: int) -> pascal.ZeroDotProbability:
+def reference_zero_dot(q: int, w_plus: int, w_minus: int) -> Fraction:
     lo, hi = sorted((w_plus, w_minus))
     short, other = pascal.row(q, lo), pascal.row(q, hi)
     numerator = sum(other[k] * short[k] for k in range(len(short)))
-    return pascal.ZeroDotProbability(numerator, q ** (w_plus + w_minus))
+    return Fraction(numerator, q ** (w_plus + w_minus))
 
 
 def test_frozen_rows_match():
@@ -208,9 +208,11 @@ def test_central_bounds():
 
 
 def test_zero_dot_probability_examples():
-    assert pascal.zero_dot_probability(2, 1, 1).value == Fraction(1, 2)
-    assert pascal.zero_dot_probability(3, 1, 1).value == Fraction(1, 3)
-    assert pascal.zero_dot_probability(3, 2, 0).value == Fraction(1, 9)
+    # exact: a float 0.5 would pass the comparison below
+    assert type(pascal.zero_dot_probability(2, 1, 1)) is Fraction
+    assert pascal.zero_dot_probability(2, 1, 1) == Fraction(1, 2)
+    assert pascal.zero_dot_probability(3, 1, 1) == Fraction(1, 3)
+    assert pascal.zero_dot_probability(3, 2, 0) == Fraction(1, 9)
     with pytest.raises(ValueError):
         pascal.zero_dot_probability(3, 0, 0)
 
@@ -221,30 +223,38 @@ def test_zero_dot_probability_matches_enumeration():
             for w_minus in range(0, 5):
                 if w_plus + w_minus == 0 or w_plus + w_minus > 8:
                     continue
-                got = pascal.zero_dot_probability(q, w_plus, w_minus).value
+                got = pascal.zero_dot_probability(q, w_plus, w_minus)
                 assert got == zero_dot_bruteforce(q, w_plus, w_minus)
 
 
 def test_zero_dot_probability_balanced_is_largest():
     for q in (2, 3, 4):
         for total in range(1, 11):
-            balanced = pascal.zero_dot_probability(
-                q, (total + 1) // 2, total // 2).value
+            balanced = pascal.zero_dot_probability(q, (total + 1) // 2, total // 2)
             for a in range(total + 1):
-                value = pascal.zero_dot_probability(q, a, total - a).value
+                value = pascal.zero_dot_probability(q, a, total - a)
                 assert value <= balanced
                 assert value <= Fraction(1, q)
 
 
-def test_triangle_table_caches_consistently():
-    table = pascal.TriangleTable(3, max_row=6)
-    assert table.row(4) == TERNARY_ROWS[4]
-    assert table.coefficient(4, 4) == 19
-    assert table.coefficient(-2, 4) == 0
-    # lazily extend past the prebuilt range
-    assert table.row(8) == expand_polynomial_power(3, 8)
+def test_row_store_is_shared_and_never_mutated():
+    # a row handed out is a copy: changing it leaves the stored row intact
+    handed_out = pascal.row(3, 8)
+    assert handed_out == expand_polynomial_power(3, 8)
+    handed_out[4] = -1
+    assert pascal.row(3, 8) == expand_polynomial_power(3, 8)
+    assert pascal.coefficient(3, 4, 8) == expand_polynomial_power(3, 8)[4]
+    assert pascal._stored_row(3, 8) is pascal._stored_row(3, 8)
+    for bad in ((1, 0), (0, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            pascal.row(*bad)
+        with pytest.raises(ValueError):
+            pascal.coefficient(bad[0], 0, bad[1])
+    # an out-of-range k is 0 before any row is built
+    pascal._rows.pop(11, None)
+    assert pascal.coefficient(11, 500, 4) == 0 and 11 not in pascal._rows
     with pytest.raises(ValueError):
-        pascal.TriangleTable(1)
+        pascal.check_dominance(1, 2, 1)
 
 
 CALLS = {
