@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--q", default="2", help="comma-separated alphabet sizes")
     group = p_bounds.add_mutually_exclusive_group()
     group.add_argument("--t", type=int, help="constant error budget")
-    group.add_argument("--tau", type=float, help="linear error fraction")
+    group.add_argument("--tau", type=_parse_fraction, help="linear error fraction")
     p_bounds.add_argument("--format", default="text", choices=["text", "csv", "json"])
     p_bounds.add_argument("--out")
     return parser
@@ -134,8 +134,7 @@ def _main_parser() -> argparse.ArgumentParser:
 
 
 def cmd_pascal(args: argparse.Namespace) -> int:
-    modes = [bool(args.row), bool(args.identity_sweep), bool(args.table)]
-    if sum(modes) != 1:
+    if args.row + args.identity_sweep + args.table != 1:
         print("pascal: choose exactly one of --row, --identity-sweep, --table",
               file=sys.stderr)
         return EXIT_USAGE
@@ -143,17 +142,19 @@ def cmd_pascal(args: argparse.Namespace) -> int:
         if args.q is None or args.n is None or args.q < 2 or args.n < 0:
             print("pascal --row needs --q >= 2 and --n >= 0", file=sys.stderr)
             return EXIT_USAGE
-        _write_output(" ".join(str(c) for c in pascal.row(args.q, args.n)) + "\n",
-                      args.out)
+        _write_output(" ".join(map(str, pascal.row(args.q, args.n))) + "\n", args.out)
         return EXIT_OK
-    if args.qmax < 2 or args.nmax < 0:
+    if args.identity_sweep and args.q is not None:
+        print("pascal: --identity-sweep takes --qmax, not --q", file=sys.stderr)
+        return EXIT_USAGE
+    q_values = [args.q] if args.q is not None else range(2, args.qmax + 1)
+    if not q_values or args.nmax < 0:
         print("pascal: need --qmax >= 2 and --nmax >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if min(q_values) < 2:
+        print("pascal: q must be >= 2", file=sys.stderr)
+        return EXIT_USAGE
     if args.table:
-        q_values = [args.q] if args.q is not None else range(2, args.qmax + 1)
-        if any(q < 2 for q in q_values):
-            print("pascal: q must be >= 2", file=sys.stderr)
-            return EXIT_USAGE
         # One row's lines at a time: the whole table runs to megabytes.
         with _output(args.out) as stream:
             stream.write("q,n,k,coefficient\n")
@@ -163,9 +164,8 @@ def cmd_pascal(args: argparse.Namespace) -> int:
                     stream.write("".join([f"{prefix}{k},{c}\n"
                                           for k, c in enumerate(pascal.row(q, n))]))
         return EXIT_OK
-    failures = 0
-    checks = 0
-    for q in range(2, args.qmax + 1):
+    failures = checks = 0
+    for q in q_values:
         for n in range(args.nmax + 1):
             for j in range(n + 1):
                 conv = pascal.check_convolution_identity(q, n, j)
@@ -311,10 +311,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         _write_output(core.dumps_canonical(
             {"reports": [r.to_json() for r in reports]}), args.out)
     else:
-        lines = []
-        banner = ("note: asymptotic O(.) terms are omitted; "
-                  "small-n comparisons are indicative only")
-        lines.append(banner)
+        lines = ["note: asymptotic O(.) terms are omitted; "
+                 "small-n comparisons are indicative only"]
         for r in reports:
             thr = r.nonexistence_threshold
             lines.append(

@@ -9,9 +9,9 @@ and obeys the recurrence
 with out-of-range terms taken as 0.  For q = 2 this is the ordinary
 binomial triangle.  All coefficients are exact Python integers; the
 probabilities derived from them are exact rationals.  The two analytic
-bounds (the multinomial bound and the central-coefficient bound) are the
-only places floating point appears, and those comparisons run at adaptive
-mpmath precision with a relative guard band before a violation is declared.
+bounds (the multinomial bound and the central-coefficient bound) involve
+pi and e; they are decided in integers against 40-digit brackets of both
+constants, with a relative guard band before a violation is declared.
 """
 
 from __future__ import annotations
@@ -22,11 +22,37 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoCentralCoefficient
+from .errors import NoCentralCoefficient, SigmacError
 
-# Relative slack applied before declaring an analytic bound violated, so
-# rounding in the irrational constants can never produce a false alarm.
+# Relative slack applied before declaring an analytic bound violated.  The
+# brackets below leave no room for a false alarm from rounding; the band
+# keeps each verdict what it was when the bounds were decided in floating point.
 GUARD_BAND = 1e-9
+
+# floor and ceil of 10^40 * pi and of 10^40 * e
+_PI = (31415926535897932384626433832795028841971, 31415926535897932384626433832795028841972)
+_E = (27182818284590452353602874713526624977572, 27182818284590452353602874713526624977573)
+
+
+def _at_most(lhs: int, pi_power: int, rhs: int, e_power: int = 0) -> bool:
+    """Decide lhs * pi^pi_power <= rhs * (e/(e-1))^e_power * (1 + GUARD_BAND).
+
+    With pi = P/10^40 and e = E/10^40, so e/(e-1) = E/(E - 10^40), this
+    compares integers.  It holds if it holds at the brackets' unfavourable
+    ends (pi high, e high), fails if it fails at their favourable ends (pi
+    low, e low), and raises SigmacError if the two disagree.
+    """
+    num, den = GUARD_BAND.as_integer_ratio()
+    right = rhs * (den + num) * 10 ** (40 * pi_power)
+
+    def holds(p: int, e: int) -> bool:
+        return lhs * p ** pi_power * (e - 10 ** 40) ** e_power * den <= right * e ** e_power
+
+    if holds(_PI[1], _E[1]):
+        return True
+    if not holds(_PI[0], _E[0]):
+        return False
+    raise SigmacError("an analytic bound lies within the 40-digit brackets of pi and e")
 
 
 # Rows of each q-ary triangle computed so far, by q.  Rows are only ever
@@ -177,32 +203,17 @@ def check_multinomial_bound(counts: list[int]) -> bool:
 
     Zero parts are stripped first since they leave the multinomial
     unchanged.  Squaring both sides turns everything except pi^(m-1) into
-    exact integers, so the comparison needs just one high-precision
-    multiplication; a violation is declared only beyond GUARD_BAND.
+    exact integers; a violation is declared only beyond GUARD_BAND.
     """
     parts = [a for a in counts if a != 0]
     if not parts:
         raise ValueError("need at least one positive part")
-    if any(a < 0 for a in parts):
-        raise ValueError("multinomial parts must be nonnegative")
     m = len(parts)
     total = sum(parts)
     coef = multinomial(parts)
     # bound  <=>  coef^2 * 2^(m-1) * prod a_i^(2a_i+1) * pi^(m-1) <= A^(2A+1)
-    lhs_int = coef * coef * (2 ** (m - 1))
-    for a in parts:
-        lhs_int *= a ** (2 * a + 1)
-    rhs_int = total ** (2 * total + 1)
-    if m == 1:
-        return lhs_int <= rhs_int
-    # Imported here, not with the module: only the two analytic bounds need
-    # mpmath, and its import is about a quarter of importing the CLI.
-    import mpmath
-
-    prec = max(lhs_int.bit_length(), rhs_int.bit_length()) + 64
-    with mpmath.workprec(prec):
-        lhs = mpmath.mpf(lhs_int) * mpmath.pi ** (m - 1)
-        return lhs <= mpmath.mpf(rhs_int) * (1 + GUARD_BAND)
+    lhs = coef * coef * 2 ** (m - 1) * math.prod(a ** (2 * a + 1) for a in parts)
+    return _at_most(lhs, m - 1, total ** (2 * total + 1))
 
 
 @dataclass(frozen=True)
@@ -224,17 +235,8 @@ def check_central_bounds(q: int, n: int) -> CentralBoundsCheck:
     central = central_coefficient(q, n)
     power_bound = central <= q ** (n - 1)
     # squared form: central^2 * n * pi^(q-1) <= q^(2n+2) * (1/2)^2 * 2^(q-1) * (e/(e-1))^2
-    lhs_int = central * central * n
-    rhs_int = q ** (2 * n + 2) * 2 ** (q - 1)
-    import mpmath
-
-    prec = max(lhs_int.bit_length(), rhs_int.bit_length()) + 64
-    with mpmath.workprec(prec):
-        ratio = mpmath.e / (mpmath.e - 1)
-        lhs = mpmath.mpf(lhs_int) * mpmath.pi ** (q - 1)
-        rhs = mpmath.mpf(rhs_int) * ratio * ratio / 4
-        sqrt_bound = lhs <= rhs * (1 + GUARD_BAND)
-    return CentralBoundsCheck(power_bound, bool(sqrt_bound), central)
+    sqrt_bound = _at_most(4 * central * central * n, q - 1, q ** (2 * n + 2) * 2 ** (q - 1), 2)
+    return CentralBoundsCheck(power_bound, sqrt_bound, central)
 
 
 def zero_dot_probability(q: int, w_plus: int, w_minus: int) -> Fraction:

@@ -38,6 +38,27 @@ def test_pascal_identity_sweep(capsys):
     assert "0 failures" in out
 
 
+def test_pascal_table_q_replaces_the_qmax_range(capsys):
+    # --qmax is not read when --q gives the one alphabet of the table
+    assert run(["pascal", "--table", "--q", "3", "--qmax", "1", "--nmax", "2"]) == 0
+    assert capsys.readouterr() == (joined_table([3], 2), "")
+    assert run(["pascal", "--table", "--qmax", "1", "--nmax", "2"]) == 2
+    assert capsys.readouterr() == ("", "pascal: need --qmax >= 2 and --nmax >= 0\n")
+
+
+def test_identity_sweep_rejects_q(capsys):
+    assert run(["pascal", "--identity-sweep", "--q", "9"]) == 2
+    assert capsys.readouterr() == ("", "pascal: --identity-sweep takes --qmax, not --q\n")
+
+
+def test_undecided_bound_stops_the_sweep(capsys, monkeypatch):
+    # brackets too wide to decide the multinomial bound of (1, 2)
+    monkeypatch.setattr(pascal, "_PI", (3 * 10 ** 40, 4 * 10 ** 40))
+    assert run(["pascal", "--identity-sweep", "--qmax", "2", "--nmax", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "pascal: an analytic bound lies within the 40-digit brackets of pi and e\n")
+
+
 def test_pascal_table(tmp_path):
     out = tmp_path / "table.csv"
     assert run(["pascal", "--table", "--q", "3", "--nmax", "2",
@@ -380,13 +401,25 @@ def test_rs_base_of_a_huge_alphabet_loads_at_once(tmp_path, capsys):
     assert captured.err.startswith("simulate: cannot load artifact: does not match")
 
 
-@pytest.mark.parametrize("module", ["numpy", "mpmath"])
+@pytest.mark.parametrize("module", ["numpy"])
 def test_importing_the_cli_leaves_module_unloaded(module):
-    # each costs a fresh process tens of milliseconds to import: numpy only
-    # decoding needs, mpmath only the pascal module's two analytic bounds
+    # it costs a fresh process tens of milliseconds to import, and only
+    # decoding needs it
     src = Path(cli.__file__).resolve().parents[1]
     check = f"import sys, sigmac.cli; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", check], cwd=src, timeout=60).returncode == 0
+
+
+def test_identity_sweep_runs_without_mpmath():
+    # a None entry makes any import of mpmath fail
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import sys; sys.modules['mpmath'] = None\n"
+              "from sigmac.cli import main\n"
+              "sys.exit(main(['pascal', '--identity-sweep', '--qmax', '4', '--nmax', '8']))")
+    done = subprocess.run([sys.executable, "-c", script], cwd=src, timeout=60,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, "identity sweep: 1066 checks, 0 failures\n", "")
 
 
 def test_limit_u_reaches_the_rs_base_search(tmp_path, capsys, monkeypatch):
@@ -524,6 +557,24 @@ def test_bounds_csv_and_json(tmp_path):
     obj = json.loads(json_path.read_text())
     assert len(obj["reports"]) == 1
     assert obj["reports"][0]["omitted_terms"]
+
+
+def test_bounds_tau_is_parsed_like_construct_tau(tmp_path, capsys):
+    # this decimal and 1/3, the threshold for q = 3, round to one float
+    # below 1/3; the decimal itself lies above it, so no code exists
+    tau = "0.33333333333333334"
+    assert run(["bounds", "--n", "16", "--q", "3", "--tau", tau]) == 2
+    assert capsys.readouterr() == ("", "bounds: tau=16666666666666667/50000000000000000 "
+                                   "reaches the nonexistence threshold (q-1)/(2q) = 1/3: "
+                                   "no such code exists\n")
+    assert run(["construct", "--method", "random", "--q", "3", "--n", "16", "--tau", tau,
+                "--out", str(tmp_path / "a.json")]) == 2
+    assert "reaches the nonexistence threshold" in capsys.readouterr().err
+    # a fraction is read exactly, and a decimal prints as its float did
+    assert run(["bounds", "--n", "16", "--q", "5", "--tau", "1/3"]) == 0
+    assert "linear-tau=0.3333333333333333:" in capsys.readouterr().out
+    assert run(["bounds", "--n", "16", "--q", "3", "--tau", "0.1"]) == 0
+    assert "linear-tau=0.1:" in capsys.readouterr().out
 
 
 def test_bounds_malformed_range(capsys):

@@ -1,4 +1,4 @@
-"""Artifact bytes and simulate output pinned across versions.
+"""Artifact bytes and simulate, sweep and bounds output pinned across versions.
 
 Each digest is that of a build known to write these bytes.  A change that
 alters one changes what users' files hold or what a seeded run prints; it
@@ -60,6 +60,19 @@ FAILING_RUNS = [
 ]
 
 
+# stdout of `pascal --identity-sweep --qmax 8 --nmax 40`
+SWEEP = "identity sweep: 13034 checks, 0 failures\n"
+
+BOUNDS_GRID = ["--n", "1024,16384", "--q", "2,3,5"]
+# extra argv -> SHA-256 of the bounds table written to --out
+BOUNDS = {
+    "tau-csv": (["--tau", "0.1", "--format", "csv"],
+                "2d91614faaa416f6f45ff284bdce99abde53328ae8c651d7f7a83f0f8df0dc19"),
+    "t-json": (["--t", "1", "--format", "json"],
+               "9704dbcb10dca1efbae046c0fc8f603ceb13ca9b997fe40d57a8ca594674a282"),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -97,3 +110,16 @@ def test_failed_rounds_are_pinned(artifacts, capsys, name, extra, stdout, stderr
     assert captured.out == stdout
     assert len(captured.err.splitlines()) == 10
     assert sha256(captured.err.encode()) == stderr_digest
+
+
+def test_identity_sweep_output_is_pinned(capsys):
+    capsys.readouterr()
+    assert cli.main(["pascal", "--identity-sweep", "--qmax", "8", "--nmax", "40"]) == 0
+    assert capsys.readouterr() == (SWEEP, "")
+
+
+@pytest.mark.parametrize("name", list(BOUNDS))
+def test_bounds_table_bytes_are_pinned(tmp_path, name):
+    out = tmp_path / "bounds.out"
+    assert cli.main(["bounds", *BOUNDS_GRID, *BOUNDS[name][0], "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == BOUNDS[name][1]

@@ -3,12 +3,13 @@
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmac import cli, pascal
-from sigmac.errors import NoCentralCoefficient
+from sigmac.errors import NoCentralCoefficient, SigmacError
 
 # Rows frozen from the standard q=2 and q=3 triangles.
 BINARY_ROWS = [
@@ -191,6 +192,73 @@ def test_multinomial_bound_sweep():
     for length in range(1, 5):
         for parts in product(range(1, 7), repeat=length):
             assert pascal.check_multinomial_bound(list(parts)), parts
+
+
+def mpmath_multinomial_bound(counts: list[int]) -> bool:
+    """check_multinomial_bound as first written, at adaptive mpmath precision."""
+    parts = [a for a in counts if a != 0]
+    m = len(parts)
+    total = sum(parts)
+    coef = pascal.multinomial(parts)
+    lhs_int = coef * coef * (2 ** (m - 1))
+    for a in parts:
+        lhs_int *= a ** (2 * a + 1)
+    rhs_int = total ** (2 * total + 1)
+    if m == 1:
+        return lhs_int <= rhs_int
+    prec = max(lhs_int.bit_length(), rhs_int.bit_length()) + 64
+    with mpmath.workprec(prec):
+        lhs = mpmath.mpf(lhs_int) * mpmath.pi ** (m - 1)
+        return lhs <= mpmath.mpf(rhs_int) * (1 + pascal.GUARD_BAND)
+
+
+def mpmath_central_sqrt_bound(q: int, n: int) -> bool:
+    """The sqrt bound of check_central_bounds as first written."""
+    central = pascal.central_coefficient(q, n)
+    lhs_int = central * central * n
+    rhs_int = q ** (2 * n + 2) * 2 ** (q - 1)
+    prec = max(lhs_int.bit_length(), rhs_int.bit_length()) + 64
+    with mpmath.workprec(prec):
+        ratio = mpmath.e / (mpmath.e - 1)
+        lhs = mpmath.mpf(lhs_int) * mpmath.pi ** (q - 1)
+        rhs = mpmath.mpf(rhs_int) * ratio * ratio / 4
+        return bool(lhs <= rhs * (1 + pascal.GUARD_BAND))
+
+
+def test_brackets_strictly_enclose_pi_and_e():
+    with mpmath.workdps(60):
+        for (low, high), constant in ((pascal._PI, mpmath.pi), (pascal._E, mpmath.e)):
+            assert high == low + 1
+            assert low < constant * 10 ** 40 < high
+
+
+def test_bound_verdicts_match_mpmath():
+    multinomial_cases = [list(parts) for length in range(1, 6)
+                         for parts in product(range(1, 8), repeat=length)]
+    central_cases = [(q, n) for q in range(2, 12) for n in range(1, 90)
+                     if (n * (q - 1)) % 2 == 0]
+    assert (len(multinomial_cases), len(central_cases)) == (19607, 665)
+    for parts in multinomial_cases:
+        assert pascal.check_multinomial_bound(parts) == mpmath_multinomial_bound(parts), parts
+    for q, n in central_cases:
+        assert pascal.check_central_bounds(q, n).sqrt_bound == \
+            mpmath_central_sqrt_bound(q, n), (q, n)
+
+
+def test_at_most_fails_and_refuses_inside_the_brackets():
+    # pi > 3 and (e/(e-1))^2 = 2.5027 < 51/20, both far outside the band
+    assert not pascal._at_most(1, 1, 3)
+    assert not pascal._at_most(51, 0, 20, 2)
+    assert pascal._at_most(5, 0, 2, 2)
+    # rhs * (1 + GUARD_BAND) / lhs is pi at its low end, so the true pi
+    # fails the bound but the low end passes it
+    num, den = pascal.GUARD_BAND.as_integer_ratio()
+    with pytest.raises(SigmacError):
+        pascal._at_most(10 ** 40 * (den + num), 1, pascal._PI[0] * den)
+    # lhs / (rhs * (1 + GUARD_BAND)) is e/(e-1) at e's low end
+    e_low = pascal._E[0]
+    with pytest.raises(SigmacError):
+        pascal._at_most(e_low * (den + num), 0, (e_low - 10 ** 40) * den, 1)
 
 
 def test_central_bounds():
