@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# simulate encodes and decodes this many rounds at a time, which bounds its
+# memory whatever --rounds is.
+SIMULATE_CHUNK = 256
+
 
 @contextlib.contextmanager
 def _output(out: Optional[str]):
@@ -74,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="check every identity and bound over the grid")
     p_pascal.add_argument("--table", action="store_true",
                           help="emit CSV q,n,k,coefficient over the grid")
-    p_pascal.add_argument("--qmax", type=int, default=4)
-    p_pascal.add_argument("--nmax", type=int, default=8)
+    # None when not given, so that a mode which ignores them can say so.
+    p_pascal.add_argument("--qmax", type=int)
+    p_pascal.add_argument("--nmax", type=int)
     p_pascal.add_argument("--out")
 
     p_con = sub.add_parser("construct", help="build a code and write its JSON artifact")
@@ -139,16 +144,25 @@ def cmd_pascal(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.row:
+        if args.qmax is not None or args.nmax is not None:
+            print("pascal: --row takes --q and --n, not --qmax or --nmax", file=sys.stderr)
+            return EXIT_USAGE
         if args.q is None or args.n is None or args.q < 2 or args.n < 0:
             print("pascal --row needs --q >= 2 and --n >= 0", file=sys.stderr)
             return EXIT_USAGE
         _write_output(" ".join(map(str, pascal.row(args.q, args.n))) + "\n", args.out)
         return EXIT_OK
+    mode = "--table" if args.table else "--identity-sweep"
+    if args.n is not None:
+        print(f"pascal: {mode} takes --nmax, not --n", file=sys.stderr)
+        return EXIT_USAGE
     if args.identity_sweep and args.q is not None:
         print("pascal: --identity-sweep takes --qmax, not --q", file=sys.stderr)
         return EXIT_USAGE
-    q_values = [args.q] if args.q is not None else range(2, args.qmax + 1)
-    if not q_values or args.nmax < 0:
+    qmax = 4 if args.qmax is None else args.qmax
+    nmax = 8 if args.nmax is None else args.nmax
+    q_values = [args.q] if args.q is not None else range(2, qmax + 1)
+    if not q_values or nmax < 0:
         print("pascal: need --qmax >= 2 and --nmax >= 0", file=sys.stderr)
         return EXIT_USAGE
     if min(q_values) < 2:
@@ -159,14 +173,14 @@ def cmd_pascal(args: argparse.Namespace) -> int:
         with _output(args.out) as stream:
             stream.write("q,n,k,coefficient\n")
             for q in q_values:
-                for n in range(args.nmax + 1):
+                for n in range(nmax + 1):
                     prefix = f"{q},{n},"
                     stream.write("".join([f"{prefix}{k},{c}\n"
                                           for k, c in enumerate(pascal.row(q, n))]))
         return EXIT_OK
     failures = checks = 0
     for q in q_values:
-        for n in range(args.nmax + 1):
+        for n in range(nmax + 1):
             for j in range(n + 1):
                 conv = pascal.check_convolution_identity(q, n, j)
                 dom = pascal.check_dominance(q, n, j)
@@ -250,7 +264,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     matrix = code.matrix
     t = code.design_t if args.t is None else args.t
     try:
-        decoder = code.decoder(t, args.limit_u)
+        code.decoder(t, args.limit_u)  # checks the 2^n budget before any round
     except CapacityError as exc:
         print(f"simulate: {exc}; raise --limit-u to override", file=sys.stderr)
         return EXIT_USAGE
@@ -269,21 +283,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"simulate: the matrix does not tolerate the artifact's design_t = {t}",
                   file=sys.stderr)
             return EXIT_USAGE
+    import numpy as np
+
+    decode_batch = functools.partial(code.decode_batch, t=t, limit_u=args.limit_u)
     failures = 0
-    for index in range(args.rounds):
-        u_rng = random.Random(core.derive_seed(args.seed, "activity", index))
-        u = tuple(u_rng.randint(0, 1) for _ in range(matrix.n))
-        record = core.simulate_round(
-            matrix, u, t, args.error_mode,
-            seed=core.derive_seed(args.seed, "round", index),
-            decoder=decoder, witness=witness,
+    for start in range(0, args.rounds, SIMULATE_CHUNK):
+        indices = range(start, min(start + SIMULATE_CHUNK, args.rounds))
+        # Each round's activity vector and errors come from its own seeds.
+        us = []
+        for index in indices:
+            u_rng = random.Random(core.derive_seed(args.seed, "activity", index))
+            us.append([u_rng.randint(0, 1) for _ in range(matrix.n)])
+        records = core.simulate_round(
+            matrix, np.array(us, dtype=np.int64), t, args.error_mode,
+            seed=[core.derive_seed(args.seed, "round", index) for index in indices],
+            decode_batch=decode_batch, witness=witness,
         )
-        if not record.success:
-            failures += 1
-            if failures <= 10:
-                print(f"round {index}: transmitted={record.transmitted} "
-                      f"decoded={record.decoded} errors={record.errors} "
-                      f"{record.note}", file=sys.stderr)
+        for index, record in zip(indices, records):
+            if not record.success:
+                failures += 1
+                if failures <= 10:
+                    print(f"round {index}: transmitted={record.transmitted} "
+                          f"decoded={record.decoded} errors={record.errors} "
+                          f"{record.note}", file=sys.stderr)
     print(f"simulate: rounds={args.rounds} t={t} mode={args.error_mode} "
           f"failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED

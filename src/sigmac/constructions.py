@@ -18,7 +18,8 @@ Three families, in increasing ambition:
 
 Every family, and PlainCode for a plain matrix, has the same members:
 `matrix` (the k x n channel matrix), `design_t` (its error budget),
-`decoder(t, limit_u)` (the matched per-word decoder) and `to_json` /
+`decode_batch(words, t, limit_u)` (the matched decoder, one outcome per
+received word), `decoder(t, limit_u)` (the same on one word) and `to_json` /
 `from_json`, whose envelope holds every parameter the code is rebuilt from.
 """
 
@@ -28,15 +29,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .bounds import ConstantT, TMode, achievable_random, max_correctable_fraction
 from .core import (
-    InfoVector,
     SignatureMatrix,
+    _as_batch,
     _check_u_limit,
+    _integer_batch,
+    _is_batch,
+    _unwrap,
     decode_min_distance,
     derive_seed,
     dumps_canonical,
@@ -73,6 +77,11 @@ def construct_trivial(n: int) -> SignatureMatrix:
     return SignatureMatrix(q=2, rows=rows)
 
 
+def _decode_one(code, word, t: int, limit_u: int | None):
+    """`code.decode_batch` on one word: its activity vector, or its failure raised."""
+    return _unwrap(code.decode_batch([word], t, limit_u)[0])
+
+
 def _as_stated(code, obj: dict):
     """`code`, if its envelope equals `obj` on every key it writes."""
     rebuilt = code.to_json()
@@ -96,9 +105,13 @@ class PlainCode:
     design_t: int
     record: dict
 
+    def decode_batch(self, words, t: int, limit_u: int | None = None) -> list:
+        """decode_min_distance at budget t, within the 2^n limit limit_u."""
+        return decode_min_distance(_as_batch(words, self.matrix.k), self.matrix, t, limit_u)
+
     def decoder(self, t: int, limit_u: int | None = None):
         _check_u_limit(self.matrix.n, limit_u)
-        return partial(decode_min_distance, matrix=self.matrix, t=t, limit=limit_u)
+        return partial(_decode_one, self, t=t, limit_u=limit_u)
 
     def to_json(self) -> dict:
         return {**self.record, "design_t": self.design_t, "matrix": self.matrix.to_json()}
@@ -150,11 +163,16 @@ class AugmentedCode:
     def rows_added(self) -> int:
         return 2 * self.t * self.bit_width
 
-    def decoder(self, t: int, limit_u: int | None = None):
+    def decode_batch(self, words, t: int, limit_u: int | None = None) -> list:
         """rs_augmented_decode (its own t); checks a non-identity base's 2^n search."""
         if not self._base_is_identity:
             _check_u_limit(self.base.n, limit_u)
-        return partial(rs_augmented_decode, self)
+        return rs_augmented_decode(self, _as_batch(words, self.matrix.k))
+
+    def decoder(self, t: int, limit_u: int | None = None):
+        if not self._base_is_identity:
+            _check_u_limit(self.base.n, limit_u)
+        return partial(_decode_one, self, t=t, limit_u=limit_u)
 
     def to_json(self) -> dict:
         return {
@@ -211,7 +229,7 @@ def rs_augment(base: SignatureMatrix, t: int) -> AugmentedCode:
     return AugmentedCode(base, extended, t, codec, bit_width)
 
 
-def rs_augmented_decode(code: AugmentedCode, y: Sequence[int]) -> InfoVector:
+def rs_augmented_decode(code: AugmentedCode, y):
     """Recover the activity vector from an output with at most t errors.
 
     Data symbols are the first k_lin positions reduced mod q_RS; each parity
@@ -221,25 +239,40 @@ def rs_augmented_decode(code: AugmentedCode, y: Sequence[int]) -> InfoVector:
     decoding returns the exact noiseless word, which the base then inverts;
     a base other than the identity by a 2^n search within no budget of its
     own (AugmentedCode.decoder checks the caller's).
+
+    `y` may also be a 2-D array with one received word per row.  The result
+    is then a list with one outcome per row: the activity vector, or the
+    DecodingFailure/AmbiguousDecoding of that word.
     """
+    import numpy as np
+
     k_lin = code.base.k
-    if len(y) != code.matrix.k:
-        raise ValueError(f"word length {len(y)} != extended k = {code.matrix.k}")
-    q_rs = code.q_rs
-    width = code.bit_width
-    symbols = [y[j] % q_rs for j in range(k_lin)]
-    for j in range(2 * code.t):
-        acc = 0
-        offset = k_lin + j * width
-        for b in range(width):
-            acc += y[offset + b] << b
-        symbols.append(acc % q_rs)
-    word = rs_decode(code.codec, symbols)
+    batch = _is_batch(y)
+    length = y.shape[1] if batch else len(y)
+    if length != code.matrix.k:
+        raise ValueError(f"word length {length} != extended k = {code.matrix.k}")
+    words = _integer_batch(y if batch else [y], length)
+    q_rs, width = code.q_rs, code.bit_width
+    # A parity symbol sums bit rows scaled by up to 2^(width - 1).
+    if words.dtype != object and len(words) and (
+            width >= 62 or max(-int(words.min()), int(words.max())) >> (62 - width)):
+        words = words.astype(object)
+    bits = words[:, k_lin:].reshape(len(words), 2 * code.t, width)
+    scales = np.array([1 << b for b in range(width)], dtype=words.dtype)
+    symbols = np.concatenate((words[:, :k_lin], bits @ scales), axis=1) % q_rs
+    outcomes = rs_decode(code.codec, symbols)
+    recovered = [i for i, word in enumerate(outcomes) if isinstance(word, list)]
     if code._base_is_identity:
-        if any(v not in (0, 1) for v in word):
-            raise DecodingFailure("recovered word is not an activity vector")
-        return tuple(word)
-    return decode_min_distance(tuple(word), code.base, 0, code.base.n)
+        for i in recovered:
+            word = outcomes[i]
+            outcomes[i] = tuple(word) if all(v in (0, 1) for v in word) else \
+                DecodingFailure("recovered word is not an activity vector")
+    elif recovered:
+        base_words = _as_batch([outcomes[i] for i in recovered], k_lin)
+        for i, vector in zip(recovered, decode_min_distance(base_words, code.base, 0,
+                                                             code.base.n)):
+            outcomes[i] = vector
+    return outcomes if batch else _unwrap(outcomes[0])
 
 
 def plan_random_length(n: int, q: int, t_mode: TMode) -> int:
@@ -401,10 +434,14 @@ class KroneckerCode:
         self.t_inner = t_inner
         self.eps1 = eps1
         self.eps2 = eps2
-        # Each bit pattern of a user block with its image under M.
-        self._images = [(bits, tuple(sum(v for v, bit in zip(row, bits) if bit)
-                                     for row in inner.rows))
-                        for bits in product((0, 1), repeat=inner.n)]
+
+    @cached_property
+    def _block_images(self):
+        """Every bit pattern of a user block (2^s x s) and its image under M (2^s x p)."""
+        import numpy as np
+
+        patterns = np.array(list(product((0, 1), repeat=self.inner.n)), dtype=np.int64)
+        return patterns, patterns @ np.array(self.inner.rows, dtype=np.int64).T
 
     @property
     def p(self) -> int:
@@ -434,9 +471,12 @@ class KroneckerCode:
 
     design_t = certified_budget
 
-    def decoder(self, t: int, limit_u: int | None = None):
+    def decode_batch(self, words, t: int, limit_u: int | None = None) -> list:
         """kronecker_decode, which needs no 2^n search and corrects up to design_t."""
-        return partial(kronecker_decode, self)
+        return kronecker_decode(self, _as_batch(words, self.matrix.k))
+
+    def decoder(self, t: int, limit_u: int | None = None):
+        return partial(_decode_one, self, t=t, limit_u=limit_u)
 
     @property
     def asymptotic_budget(self) -> Optional[int]:
@@ -508,7 +548,7 @@ def kronecker_compose(outer: BinaryLinearCode, inner: SignatureMatrix,
     return KroneckerCode(inner, outer, composed, t_inner, eps1, eps2)
 
 
-def kronecker_decode(code: KroneckerCode, b: Sequence[int]) -> InfoVector:
+def kronecker_decode(code: KroneckerCode, b):
     """Rows-then-blocks decoding of the composed code.
 
     Step 1 lifts each inner row index i: the subsequence (b[a*p+i])_a equals
@@ -519,35 +559,40 @@ def kronecker_decode(code: KroneckerCode, b: Sequence[int]) -> InfoVector:
     pattern whose inner image differs from the lifted values in the fewest
     rows; at most t_inner untrusted rows are outvoted.  Ties mean the error
     budget was exceeded and raise AmbiguousDecoding.
+
+    `b` may also be a 2-D array with one received word per row.  All rows of
+    all words are then lifted by one integer_lift_decode call and every
+    block searched at once; the result is a list with one outcome per row:
+    the activity vector, or the AmbiguousDecoding of that word.
     """
     p, s, r = code.p, code.s, code.r
     n_outer = code.outer.N
-    if len(b) != n_outer * p:
-        raise ValueError(f"word length {len(b)} != k = {n_outer * p}")
-    w_max = s * (code.inner.q - 1)
-    lifted = []
-    for i in range(p):
-        segment = [b[a * p + i] for a in range(n_outer)]
-        lifted.append(integer_lift_decode(code.outer, segment, w_max))
-    result: list[int] = []
-    for j in range(r):
-        target = tuple(lifted[i][j] for i in range(p))
-        best_bits = None
-        best_dist = p + 1
-        tie = False
-        for bits, image in code._images:
-            dist = sum(1 for x, y in zip(target, image) if x != y)
-            if dist < best_dist:
-                best_bits, best_dist, tie = bits, dist, False
-            elif dist == best_dist:
-                tie = True
-        if tie:
-            raise AmbiguousDecoding(
-                f"block {j}: tie at {best_dist} mismatched rows "
-                f"(error budget exceeded)"
-            )
-        result.extend(best_bits)
-    return tuple(result)
+    batch = _is_batch(b)
+    length = b.shape[1] if batch else len(b)
+    if length != n_outer * p:
+        raise ValueError(f"word length {length} != k = {n_outer * p}")
+    words = _integer_batch(b if batch else [b], length)
+    count = len(words)
+    # Row (word, i) of the segments holds b[a*p + i] over a.
+    segments = words.reshape(count, n_outer, p).transpose(0, 2, 1).reshape(count * p, n_outer)
+    lifted = integer_lift_decode(code.outer, segments, s * (code.inner.q - 1))
+    targets = lifted.reshape(count, p, r).transpose(0, 2, 1)
+    patterns, images = code._block_images
+    # Mismatched rows of every block of every word against every image.
+    dist = (targets[:, :, None, :] != images).sum(axis=3)
+    best = dist.argmin(axis=2)
+    low = dist.min(axis=2)
+    tied = (dist == low[:, :, None]).sum(axis=2) > 1
+    outcomes = []
+    for bits, ties, lows in zip(patterns[best].reshape(count, r * s).tolist(),
+                                tied.tolist(), low.tolist()):
+        if any(ties):
+            j = ties.index(True)
+            outcomes.append(AmbiguousDecoding(
+                f"block {j}: tie at {lows[j]} mismatched rows (error budget exceeded)"))
+        else:
+            outcomes.append(tuple(bits))
+    return outcomes if batch else _unwrap(outcomes[0])
 
 
 def build_kronecker(q: int, epsilon, p: int, s: int, r: int, seed: int = 0,

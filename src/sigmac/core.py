@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -241,6 +242,64 @@ def _received_symbol(value, cap: int) -> int:
     return whole if whole == value and 0 <= whole <= cap else -1
 
 
+def _is_batch(y) -> bool:
+    """True for a 2-D array: a batch of received words, one per row."""
+    return getattr(y, "ndim", 1) == 2
+
+
+def _as_batch(words, length: int):
+    """`words`, a 2-D array or a sequence of equal-length words, as a 2-D array.
+
+    Integer entries are held as int64 where numpy infers an integer type;
+    any other entry (a float, an int beyond 64 bits, which numpy would round
+    to a float) keeps its Python value in an object array.  `length` is the
+    row length of an empty batch.
+    """
+    # Imported here, not with the module: only decoding needs numpy, and its
+    # import costs a fresh process about 0.15 s.
+    import numpy as np
+
+    if _is_batch(words):
+        batch = words
+    else:
+        words = list(words)
+        if len({len(word) for word in words}) > 1:
+            raise ValueError("received words differ in length")
+        if not words:
+            return np.zeros((0, length), dtype=np.int64)
+        batch = np.array(words)
+        if batch.dtype.kind not in "bi":
+            return np.array(words, dtype=object)
+    return batch.astype(np.int64 if batch.dtype.kind in "bi" else object, copy=False)
+
+
+def _integer_batch(words, length: int):
+    """_as_batch for the decoders that do integer arithmetic on every entry.
+
+    A float or any other non-integer entry raises ValueError: truncated, it
+    would decode as a nearby integer the channel never sent.  The entries of
+    an object batch become Python ints, which numpy integers mixed in with
+    them would not be.
+    """
+    import numpy as np
+
+    batch = _as_batch(words, length)
+    if batch.dtype != object:
+        return batch
+    values = batch.ravel().tolist()
+    for value in values:
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"received entry {value!r} is not an integer")
+    return np.array([int(value) for value in values], dtype=object).reshape(batch.shape)
+
+
+def _unwrap(outcome):
+    """A batch-of-one outcome as a one-word call gives it: returned or raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 class _HalfTables(NamedTuple):
     """The part of decode_min_distance's search that depends only on M."""
 
@@ -261,59 +320,103 @@ def _subset_sums(columns):
     return sums
 
 
-def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
-                        limit: int | None = None) -> InfoVector:
+def _received_symbols(words, cap: int, dtype):
+    """Received words (a 2-D array or a list of words) as _received_symbol rows in `dtype`."""
+    import numpy as np
+
+    if getattr(words, "dtype", None) is not None and words.dtype.kind in "iu":
+        whole = (words >= 0) & (words <= cap)
+        symbols = np.where(whole, words, 0).astype(dtype)
+        symbols[~whole] = -1
+        return symbols
+    # An int already in [0, cap] is its own symbol; only the rest, such as
+    # floats and values an error pushed out of range, need _received_symbol.
+    batch = _is_batch(words)
+    symbols = np.array([[v if type(v) is int and 0 <= v <= cap else _received_symbol(v, cap)
+                         for v in word] for word in (words.tolist() if batch else words)],
+                       dtype=dtype)
+    return symbols.reshape(words.shape) if batch else symbols
+
+
+def _min_distance_search(received, matrix: SignatureMatrix, t: int) -> list:
+    """decode_min_distance's outcomes for a batch of received symbol rows.
+
+    Left halves are compared with every right half for a slice of words at
+    once, about DECODE_BLOCK row comparisons per block: many words per block
+    when one word's 2^n candidates fit, else one word and a few left halves.
+    """
+    import numpy as np
+
+    cap, dtype, h, left_sums, right = matrix._half_tables
+    words, k = received.shape
+    halves, width = left_sums.shape[1], right.shape[1]
+    if k * halves * width <= DECODE_BLOCK:
+        word_step, step = DECODE_BLOCK // (k * halves * width), halves
+    else:
+        word_step, step = 1, max(1, DECODE_BLOCK // (k * width))
+    count_type = np.min_scalar_type(k)
+    # u = (a, b) with index = a * 2^(n-h) + b, each half low bit first.
+    n = matrix.n
+    shifts = np.concatenate((np.arange(n - h, n), np.arange(n - h)))
+    outcomes = []
+    for first in range(0, words, word_step):
+        left = received[first:first + word_step, :, None] - left_sums
+        size = len(left)
+        best, ties, within_budget, best_index = [k + 1] * size, [0] * size, [0] * size, [0] * size
+        for start in range(0, halves, step):
+            differs = left[:, :, start:start + step, None] != right[:, None, :]
+            weight = np.add.reduce(differs.view(np.uint8), axis=1, dtype=count_type)
+            weight = weight.reshape(size, -1)
+            # Each word's row of weights is reduced as that word alone would
+            # be; count_nonzero of a row is several times faster than a sum
+            # along the axis of the block.
+            for w, (row, index) in enumerate(zip(weight, weight.argmin(axis=1).tolist())):
+                low = int(row[index])
+                if low < best[w]:
+                    best[w], ties[w], best_index[w] = low, 0, start * width + index
+                if low == best[w]:
+                    ties[w] += int(np.count_nonzero(row == low))
+                if t >= 0:
+                    within_budget[w] += int(np.count_nonzero(row <= min(t, k)))
+        vectors = ((np.array(best_index)[:, None] >> shifts) & 1).tolist()
+        for vector, count, low, close in zip(vectors, ties, best, within_budget):
+            if count > 1:
+                outcomes.append(AmbiguousDecoding(f"{count} candidates at minimum distance {low}"))
+            elif close > 1:
+                outcomes.append(AmbiguousDecoding(
+                    f"{close} candidates within the error budget t={t}"))
+            else:
+                outcomes.append(tuple(vector))
+    return outcomes
+
+
+def decode_min_distance(y, matrix: SignatureMatrix, t: int,
+                        limit: int | None = None):
     """Return the activity vector u minimizing wt(y - M u).
 
     Searches all 2^n candidates by meeting in the middle: with the columns
     split at h = n // 2, candidate u = (a, b) has weight equal to the number
     of rows where (y - M_A a) and M_B b differ.  Both halves are tabulated
-    once per matrix and kept on it; per word, the weights are taken a few
-    left halves at a time, in blocks of about DECODE_BLOCK // k candidates.
-    When the matrix tolerates t errors and at most t positions were
-    corrupted, the minimizer is unique and equals the transmitted vector.  A
-    tie at the minimum, or a second candidate within distance t, raises
-    AmbiguousDecoding instead of silently picking one.
-    """
-    # Imported here, not with the module: only decoding needs numpy, and its
-    # import costs a fresh process about 0.15 s.
-    import numpy as np
+    once per matrix and kept on it; the weights are taken in blocks of about
+    DECODE_BLOCK row comparisons.  When the matrix tolerates t errors and at
+    most t positions were corrupted, the minimizer is unique and equals the
+    transmitted vector.  A tie at the minimum, or a second candidate within
+    distance t, raises AmbiguousDecoding instead of silently picking one.
 
+    `y` may also be a 2-D array with one received word per row.  The result
+    is then a list with one outcome per row: the activity vector, or the
+    AmbiguousDecoding the word alone would raise.
+    """
     n, k = matrix.n, matrix.k
-    if len(y) != k:
-        raise ValueError(f"received word length {len(y)} != k = {k}")
+    batch = _is_batch(y)
+    length = y.shape[1] if batch else len(y)
+    if length != k:
+        raise ValueError(f"received word length {length} != k = {k}")
     _check_u_limit(n, limit)
-    cap, dtype, h, left_sums, right = matrix._half_tables
-    # An int already in [0, cap] is its own symbol; only the rest, such as
-    # floats and values an error pushed out of range, need _received_symbol.
-    received = np.array([v if type(v) is int and 0 <= v <= cap else _received_symbol(v, cap)
-                         for v in y], dtype=dtype)
-    left = received[:, None] - left_sums
-    width = right.shape[1]
-    step = max(1, DECODE_BLOCK // (k * width))
-    count_type = np.min_scalar_type(k)
-    best, ties, within_budget, best_index = k + 1, 0, 0, 0
-    for start in range(0, left.shape[1], step):
-        differs = left[:, start:start + step, None] != right[:, None, :]
-        weight = np.add.reduce(differs.view(np.uint8), axis=0, dtype=count_type)
-        index = int(weight.argmin())
-        low = int(weight.flat[index])
-        if low < best:
-            best, ties, best_index = low, 0, start * width + index
-        if low == best:
-            ties += int(np.count_nonzero(weight == low))
-        if t >= 0:
-            within_budget += int(np.count_nonzero(weight <= min(t, k)))
-    if ties > 1:
-        raise AmbiguousDecoding(
-            f"{ties} candidates at minimum distance {best}"
-        )
-    if within_budget > 1:
-        raise AmbiguousDecoding(
-            f"{within_budget} candidates within the error budget t={t}"
-        )
-    a, b = divmod(best_index, width)
-    return tuple((a >> j) & 1 for j in range(h)) + tuple((b >> j) & 1 for j in range(n - h))
+    tables = matrix._half_tables
+    received = _received_symbols(y if batch else [y], tables.cap, tables.dtype)
+    outcomes = _min_distance_search(received, matrix, t)
+    return outcomes if batch else _unwrap(outcomes[0])
 
 
 @dataclass(frozen=True)
@@ -383,10 +486,9 @@ def _draw_error_pattern(matrix: SignatureMatrix, t: int, seed: int) -> dict[int,
 _FIND_WITNESS = object()
 
 
-def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
-                   error_mode: str, seed: int,
-                   decoder: Callable[[ChannelWord], InfoVector] | None = None,
-                   witness: Optional[AdversarialWitness] = _FIND_WITNESS) -> TrialRecord:
+def simulate_round(matrix: SignatureMatrix, u, t: int, error_mode: str, seed,
+                   decode_batch: Callable | None = None,
+                   witness: Optional[AdversarialWitness] = _FIND_WITNESS):
     """One encode / corrupt / decode round, deterministic given the seed.
 
     In random mode, exactly t positions are hit with values drawn uniformly
@@ -395,31 +497,61 @@ def simulate_round(matrix: SignatureMatrix, u: Sequence[int], t: int,
     (the matrix tolerates t) the round falls back to a random draw and notes
     that.  A caller running many rounds passes adversarial_witness(matrix, t)
     as `witness`, None included, so that the 3^n walk runs once; left out,
-    it runs here, within the default limit.  A decoder for the specific code
-    may be injected; the default is minimum-distance decoding at budget t,
-    within the default 2^n limit.
+    it runs here, within the default limit.
+
+    `u` may also be a 2-D array with one activity vector per row and `seed`
+    a sequence with one seed per row; the rounds then run as one chunk and
+    the result is a list of records.  Each round draws its errors from its
+    own seed, so a round's record does not depend on the chunk it ran in.
+    The chunk is encoded by one matrix product and decoded by one call of
+    `decode_batch`, which maps a 2-D array of received words to one outcome
+    per word (the decoded vector, or the AmbiguousDecoding/DecodingFailure
+    of that word), as a code's decode_batch does.  The default is
+    minimum-distance decoding at budget t, within the default 2^n limit.
     """
-    _check_info_vector(u, matrix.n)
+    import numpy as np
+
+    chunk = _is_batch(u)
+    if chunk:
+        if u.shape[1] != matrix.n:
+            raise ValueError(f"activity vector length {u.shape[1]} != n = {matrix.n}")
+        if ((u != 0) & (u != 1)).any():
+            raise ValueError("activity vector entries must be 0 or 1")
+        if len(seed) != len(u):
+            raise ValueError(f"{len(seed)} seeds for {len(u)} rounds")
+        vectors, seeds = [tuple(row) for row in u.tolist()], seed
+    else:
+        _check_info_vector(u, matrix.n)
+        vectors, seeds = [tuple(u)], [seed]
     if t < 0 or t > matrix.k:
         raise ValueError(f"need 0 <= t <= k, got t={t}")
-    note = ""
-    transmitted, errors = tuple(u), None
+    note, transmitted, errors = "", vectors, None
     if error_mode == WORST_CASE_ERRORS:
         if witness is _FIND_WITNESS:
             witness = adversarial_witness(matrix, t)
         if witness is None:
             note = "no adversarial witness exists at this budget; random draw used"
         else:
-            transmitted, errors = witness.u1, dict(witness.e1)
+            transmitted = [witness.u1] * len(vectors)
+            errors = [dict(witness.e1) for _ in seeds]
     elif error_mode != RANDOM_ERRORS:
         raise ValueError(f"unknown error mode {error_mode!r}")
     if errors is None:
-        errors = _draw_error_pattern(matrix, t, seed)
-    received = apply_errors(encode(matrix, transmitted), errors)
-    decode = decoder or (lambda word: decode_min_distance(word, matrix, t))
-    try:
-        decoded = decode(received)
-    except (AmbiguousDecoding, DecodingFailure) as exc:
-        return TrialRecord(False, transmitted, None, errors,
-                           note=f"{type(exc).__name__}: {exc}")
-    return TrialRecord(decoded == transmitted, transmitted, decoded, errors, note=note)
+        errors = [_draw_error_pattern(matrix, t, s) for s in seeds]
+    # Entries of M u and error values both lie within n(q-1) in magnitude.
+    dtype = np.int64 if 2 * matrix.n * (matrix.q - 1) < 1 << 62 else object
+    received = np.array(transmitted, dtype=dtype).reshape(len(vectors), matrix.n) \
+        @ np.array(matrix.rows, dtype=dtype).T
+    hits = [(i, pos, val) for i, pattern in enumerate(errors) for pos, val in pattern.items()]
+    if hits:
+        rounds, positions, values = zip(*hits)
+        received[rounds, positions] += np.array(values, dtype=dtype)
+    decode = decode_batch or (lambda words: decode_min_distance(words, matrix, t))
+    records = []
+    for sent, pattern, decoded in zip(transmitted, errors, decode(received)):
+        if isinstance(decoded, (AmbiguousDecoding, DecodingFailure)):
+            records.append(TrialRecord(False, sent, None, pattern,
+                                       note=f"{type(decoded).__name__}: {decoded}"))
+        else:
+            records.append(TrialRecord(decoded == sent, sent, decoded, pattern, note=note))
+    return records if chunk else records[0]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .core import derive_seed
+from .core import _integer_batch, _is_batch, _unwrap, derive_seed
 from .errors import ConstructionFailure, DecodingFailure
 
 
@@ -82,24 +82,31 @@ class PrimeField:
             raise ValueError(f"{self.p} is not prime")
 
 
-def _solve_mod(rows: list[list[int]], p: int) -> list[int] | None:
-    """Solution of a square system over F_p given as augmented rows, or None if singular.
+def _solve_mod(systems, p: int):
+    """Solutions of a batch of square systems over F_p, and which are nonsingular.
 
-    The rows are reduced in place.
+    `systems` is an m x s x (s+1) array of augmented rows; Gauss-Jordan
+    elimination runs on all m at once.  A singular system has no pivot in
+    some column, and its row of the solutions is left meaningless.
     """
-    size = len(rows)
+    import numpy as np
+
+    systems = systems.copy()
+    count, size = systems.shape[:2]
+    nonsingular = np.ones(count, dtype=bool)
+    every = np.arange(count)
     for c in range(size):
-        pivot = next((i for i in range(c, size) if rows[i][c]), None)
-        if pivot is None:
-            return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = pow(rows[c][c], p - 2, p)
-        base = rows[c] = [v * inv % p for v in rows[c]]
-        for i in range(size):
-            f = rows[i][c]
-            if i != c and f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], base)]
-    return [row[size] for row in rows]
+        # The first row at or below c with a nonzero entry in column c.
+        pivot = c + (systems[:, c:, c] != 0).argmax(axis=1)
+        pivot_rows = systems[every, pivot]
+        nonsingular &= pivot_rows[:, c] != 0
+        systems[every, pivot] = systems[:, c]
+        inverses = [pow(v, p - 2, p) for v in pivot_rows[:, c].tolist()]
+        systems[:, c] = pivot_rows * np.array(inverses, dtype=systems.dtype)[:, None] % p
+        factors = systems[:, :, c:c + 1].copy()
+        factors[:, c] = 0
+        systems = (systems - factors * systems[:, c:c + 1]) % p
+    return systems[:, :, size], nonsingular
 
 
 class RSCodec:
@@ -161,10 +168,19 @@ class RSCodec:
             if not 0 <= v < p:
                 raise ValueError(f"element {v} outside F_{p}")
 
-    def _syndromes(self, word: Sequence[int]) -> list[int]:
-        """One value per parity check; all zero exactly for codewords."""
-        p = self.field.p
-        return [sum(h * c for h, c in zip(row, word)) % p for row in self._checks]
+    @cached_property
+    def _dtype(self):
+        """int64 where every syndrome sum, n_rs products below p^2, fits; else object."""
+        import numpy as np
+
+        return np.int64 if self.field.p ** 2 * self.n_rs < 1 << 63 else object
+
+    @cached_property
+    def _check_array(self):
+        """The parity checks as an (n_rs - k_rs) x n_rs array."""
+        import numpy as np
+
+        return np.array(self._checks, dtype=self._dtype).reshape(-1, self.n_rs)
 
 
 def rs_encode(codec: RSCodec, message: Sequence[int]) -> list[int]:
@@ -183,7 +199,7 @@ def rs_encode(codec: RSCodec, message: Sequence[int]) -> list[int]:
     return list(message) + parities
 
 
-def rs_decode(codec: RSCodec, received: Sequence[int]) -> list[int]:
+def rs_decode(codec: RSCodec, received):
     """Syndrome decoding of up to t = floor((n_rs - k_rs)/2) symbol errors.
 
     Peterson-Gorenstein-Zierler: for r = c + e the syndromes are
@@ -197,41 +213,75 @@ def rs_decode(codec: RSCodec, received: Sequence[int]) -> list[int]:
     is returned only if it passes every parity check, so the answer is the
     unique codeword within the radius; DecodingFailure is raised when there
     is none.
+
+    `received` may also be a 2-D array with one word per row.  Every step
+    then runs on all words at once, and the result is a list with one
+    outcome per row: the message, or the DecodingFailure of that word.
     """
+    import numpy as np
+
     n, k = codec.n_rs, codec.k_rs
-    if len(received) != n:
-        raise ValueError(f"received length {len(received)} != n_rs = {n}")
-    codec._check_elements(received)
+    batch = _is_batch(received)
+    length = received.shape[1] if batch else len(received)
+    if length != n:
+        raise ValueError(f"received length {length} != n_rs = {n}")
+    words = _integer_batch(received if batch else [received], n)
     p = codec.field.p
-    syndromes = codec._syndromes(received)
-    if not any(syndromes):
-        return list(received[:k])
+    if len(words) and (words.min() < 0 or words.max() >= p):
+        raise ValueError(f"element {words[(words < 0) | (words >= p)][0]} outside F_{p}")
+    words = words.astype(codec._dtype)
+    checks = codec._check_array
+    syndromes = words @ checks.T % p
+    outcomes: list = [None] * len(words)
+    corrupted = syndromes.any(axis=1)
+    for i in np.flatnonzero(~corrupted).tolist():
+        outcomes[i] = words[i, :k].tolist()
+    pending = np.flatnonzero(corrupted)
+    # The largest nu whose Hankel system is nonsingular, word by word.
     for nu in range(codec.radius, 0, -1):
-        locator = _solve_mod([syndromes[l:l + nu] + [-syndromes[l + nu] % p]
-                              for l in range(nu)], p)
-        if locator is not None:
+        if not len(pending):
             break
-    else:
-        raise DecodingFailure("no error locator of degree at most the radius fits the syndromes")
-    locator.append(1)
-    positions = []
-    for x in range(n):
-        acc = 0
-        for c in reversed(locator):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            positions.append(x)
-    if len(positions) != nu:
-        raise DecodingFailure(
-            f"error locator of degree {nu} has {len(positions)} roots among the evaluation points")
-    values = _solve_mod([[codec._checks[l][j] for j in positions] + [syndromes[l]]
-                         for l in range(nu)], p)
-    corrected = list(received)
-    for j, e in zip(positions, values):
-        corrected[j] = (corrected[j] - e) % p
-    if any(codec._syndromes(corrected)):
-        raise DecodingFailure(f"word corrected at {nu} positions fails the parity checks")
-    return corrected[:k]
+        # Row l of a word's system: S_l .. S_(l+nu-1) and then -S_(l+nu).
+        hankel = syndromes[pending][:, np.arange(nu)[:, None] + np.arange(nu + 1)]
+        hankel[:, :, nu] = -hankel[:, :, nu] % p
+        locators, found = _solve_mod(hankel, p)
+        if found.any():
+            _correct(codec, words, syndromes, pending[found], locators[found], outcomes)
+        pending = pending[~found]
+    for i in pending.tolist():
+        outcomes[i] = DecodingFailure(
+            "no error locator of degree at most the radius fits the syndromes")
+    return outcomes if batch else _unwrap(outcomes[0])
+
+
+def _correct(codec: RSCodec, words, syndromes, rows, locators, outcomes) -> None:
+    """rs_decode's last steps for the words `rows`, whose locators have one degree."""
+    import numpy as np
+
+    n, k, p = codec.n_rs, codec.k_rs, codec.field.p
+    nu = locators.shape[1]
+    points = np.arange(n, dtype=codec._dtype)
+    value = np.ones((len(rows), n), dtype=codec._dtype)
+    for c in range(nu - 1, -1, -1):
+        value = (value * points + locators[:, c:c + 1]) % p
+    roots = value == 0
+    found = roots.sum(axis=1)
+    for i, count in zip(rows[found != nu].tolist(), found[found != nu].tolist()):
+        outcomes[i] = DecodingFailure(
+            f"error locator of degree {nu} has {count} roots among the evaluation points")
+    rows, roots = rows[found == nu], roots[found == nu]
+    positions = np.nonzero(roots)[1].reshape(len(rows), nu)
+    checks = codec._check_array
+    system = np.concatenate((checks[np.arange(nu)[:, None], positions[:, None, :]],
+                             syndromes[rows, :nu, None]), axis=2)
+    values, _ = _solve_mod(system, p)
+    corrected = words[rows]
+    hit = np.arange(len(rows))[:, None]
+    corrected[hit, positions] = (corrected[hit, positions] - values) % p
+    failed = (corrected @ checks.T % p).any(axis=1)
+    for i, word, bad in zip(rows.tolist(), corrected[:, :k].tolist(), failed.tolist()):
+        outcomes[i] = DecodingFailure(
+            f"word corrected at {nu} positions fails the parity checks") if bad else word
 
 
 @dataclass(frozen=True)
@@ -382,8 +432,7 @@ def _nearest_codeword(code: BinaryLinearCode,
     return answer
 
 
-def integer_lift_decode(code: BinaryLinearCode, y: Sequence[int],
-                        w_max: int) -> tuple[int, ...]:
+def integer_lift_decode(code: BinaryLinearCode, y, w_max: int):
     """Recover w in {0..w_max}^K from y = G^T w + e with wt(e) < D/2.
 
     Bit-plane lifting: in each of bit_length(w_max) rounds the parity of y
@@ -393,23 +442,31 @@ def integer_lift_decode(code: BinaryLinearCode, y: Sequence[int],
     weight exceeds the radius the output is arbitrary and the caller must
     treat it as untrusted (ties are then resolved to the first codeword
     found instead of failing).
+
+    `y` may also be a 2-D array with one word per row; the planes of all
+    words are then taken at once, each distinct parity pattern is decoded
+    once, and the result is a 2-D array with one w per row.
     """
-    if len(y) != code.N:
-        raise ValueError(f"word length {len(y)} != N = {code.N}")
+    import numpy as np
+
+    batch = _is_batch(y)
+    length = y.shape[1] if batch else len(y)
+    if length != code.N:
+        raise ValueError(f"word length {length} != N = {code.N}")
     if w_max < 0:
         raise ValueError("w_max must be >= 0")
-    gen = code.generator
-    values = list(y)
-    w = [0] * code.K
-    for plane in range(w_max.bit_length()):
-        target = sum((v & 1) << i for i, v in enumerate(values))
-        msg, _, _, _ = _nearest_codeword(code, target)
-        active = [j for j in range(code.K) if msg[j]]
-        for j in active:
-            w[j] += 1 << plane
-        if active:
-            image = map(sum, zip(*(gen[j] for j in active)))
-            values = [(v - g) >> 1 for v, g in zip(values, image)]
-        else:
-            values = [v >> 1 for v in values]
-    return tuple(w)
+    values = _integer_batch(y if batch else [y], code.N)
+    planes = w_max.bit_length()
+    w = np.zeros((len(values), code.K), dtype=np.int64 if planes < 63 else object)
+    # Bit i of a word's parity pattern is the parity of its entry i.
+    weights = np.array([1 << i for i in range(code.N)],
+                       dtype=np.int64 if code.N < 63 else object)
+    generator = np.array(code.generator, dtype=np.int64)
+    for plane in range(planes):
+        patterns, which = np.unique((values & 1) @ weights, return_inverse=True)
+        messages = np.array([_nearest_codeword(code, pattern)[0]
+                             for pattern in patterns.tolist()], dtype=np.int64)
+        bits = messages.reshape(len(patterns), code.K)[which.reshape(-1)]
+        w += bits.astype(w.dtype) << plane
+        values = (values - bits @ generator) >> 1
+    return w if batch else tuple(w[0].tolist())

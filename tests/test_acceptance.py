@@ -184,14 +184,15 @@ def test_criterion_4_rs_round_trip():
         assert tolerates(extended, t)
         for u in product((0, 1), repeat=n):
             clean = encode(extended, u)
-            for size in range(t + 1):
-                for support in combinations(range(k), size):
-                    for vals in error_value_assignments(size, values,
-                                                        exhaustive_values):
-                        received = apply_errors(clean, dict(zip(support, vals)))
-                        assert cons.rs_augmented_decode(code, received) == u, (
-                            n, t, u, support, vals)
-                        decodes += 1
+            errors = [(support, vals) for size in range(t + 1)
+                      for support in combinations(range(k), size)
+                      for vals in error_value_assignments(size, values,
+                                                          exhaustive_values)]
+            words = [apply_errors(clean, dict(zip(support, vals))) for support, vals in errors]
+            # One decode_batch call per u: the same words and checks, one by one.
+            for (support, vals), got in zip(errors, code.decode_batch(words, t)):
+                assert got == u, (n, t, u, support, vals)
+            decodes += len(words)
     report(4, time.perf_counter() - start, 120.0,
            f"{decodes} decodes over bases I_1..I_5, t<=2: all recovered; "
            f"extended matrices pass the sign-pattern tolerance check")
@@ -205,13 +206,17 @@ def test_criterion_5_random_construction():
     for result in accepted:
         assert result.d_min >= 3
         matrix = result.matrix
+        import random
+        us = []
         for round_index in range(1000):
-            import random
             u_rng = random.Random((result.seed << 16) ^ round_index)
-            u = tuple(u_rng.randint(0, 1) for _ in range(matrix.n))
-            record = simulate_round(matrix, u, 1, RANDOM_ERRORS,
-                                    seed=round_index * 100003 + result.seed)
-            assert record.success, (result.seed, round_index, record)
+            us.append(tuple(u_rng.randint(0, 1) for _ in range(matrix.n)))
+        # The 1000 rounds as one chunk; each still draws from its own seed.
+        records = simulate_round(matrix, np.array(us), 1, RANDOM_ERRORS,
+                                 seed=[round_index * 100003 + result.seed
+                                       for round_index in range(1000)])
+        for round_index, (u, record) in enumerate(zip(us, records)):
+            assert record.success and record.transmitted == u, (result.seed, round_index, record)
     report(5, time.perf_counter() - start, 120.0,
            f"{len(accepted)}/100 seeds accepted at k={CALIBRATED_K}; "
            f"{len(accepted)}x1000 adversarial rounds, zero failures")
@@ -227,25 +232,25 @@ def test_criterion_6_kronecker_pipeline():
     decodes = 0
     for v in product((0, 1), repeat=primary.matrix.n):
         clean = encode(primary.matrix, v)
-        for size in range(primary.certified_budget + 1):
-            for support in combinations(range(k), size):
-                for vals in error_value_assignments(size, values, size <= 2):
-                    received = apply_errors(clean, dict(zip(support, vals)))
-                    got = cons.kronecker_decode(primary, received)
-                    assert got == v, (v, support, vals, got)
-                    decodes += 1
+        errors = [(support, vals) for size in range(primary.certified_budget + 1)
+                  for support in combinations(range(k), size)
+                  for vals in error_value_assignments(size, values, size <= 2)]
+        words = [apply_errors(clean, dict(zip(support, vals))) for support, vals in errors]
+        for (support, vals), got in zip(errors, primary.decode_batch(words, 5)):
+            assert got == v, (v, support, vals, got)
+        decodes += len(words)
     # secondary: searched [4,2,>=2] outer over r=2 blocks, budget 1,
     # swept fully
     budget = secondary.certified_budget
     k2 = secondary.matrix.k
     for v in product((0, 1), repeat=secondary.matrix.n):
         clean = encode(secondary.matrix, v)
-        for size in range(budget + 1):
-            for support in combinations(range(k2), size):
-                for vals in product(values, repeat=size):
-                    received = apply_errors(clean, dict(zip(support, vals)))
-                    assert cons.kronecker_decode(secondary, received) == v
-                    decodes += 1
+        words = [apply_errors(clean, dict(zip(support, vals)))
+                 for size in range(budget + 1)
+                 for support in combinations(range(k2), size)
+                 for vals in product(values, repeat=size)]
+        assert secondary.decode_batch(words, budget) == [v] * len(words)
+        decodes += len(words)
     report(6, time.perf_counter() - start, 300.0,
            f"{decodes} decodes at or below the design budgets, zero failures")
 

@@ -8,6 +8,7 @@ same names and result fields directly, importing the harness read-only.
 
 import importlib
 import inspect
+import random
 import sys
 from pathlib import Path
 
@@ -74,3 +75,32 @@ def test_every_result_counter_reads_a_real_result(harness):
     for name, extract in spans.RESULT_COUNTS.items():
         counts = extract(SMALL_CALLS[name]())
         assert counts and all(isinstance(v, (int, float)) for v in counts.values()), name
+
+
+def first_op_of_each_kind(workload, artifacts, work):
+    """The rotation's first op of every kind, in the order the workload runs them."""
+    ops, seen = [], set()
+    for op in workload.ops(random.Random(3), artifacts, work):
+        if op.kind in seen:
+            return ops
+        seen.add(op.kind)
+        ops.append(op)
+
+
+@pytest.mark.parametrize("name", ["simulate-generic", "simulate-structured"])
+def test_every_expected_layer_is_called_by_a_simulate_op(harness, tmp_path, name):
+    """A batch path that skips a traced name would leave its layer without calls."""
+    spans, workloads = harness
+    workload = workloads.workloads(tiny=True)[name]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        artifacts = workload.setup(tmp_path, 3)
+        for op in first_op_of_each_kind(workload, artifacts, tmp_path):
+            code, stdout, _ = workloads.run_cli(op.argv)
+            assert op.check(code, stdout) is None, op.argv
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for layer in workload.expected_layers:
+        assert summary.get(layer, {}).get("calls", 0) > 0, layer

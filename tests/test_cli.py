@@ -51,6 +51,32 @@ def test_identity_sweep_rejects_q(capsys):
     assert capsys.readouterr() == ("", "pascal: --identity-sweep takes --qmax, not --q\n")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--identity-sweep", "--n", "5", "--qmax", "2", "--nmax", "1"],
+     "pascal: --identity-sweep takes --nmax, not --n\n"),
+    (["--table", "--n", "5"], "pascal: --table takes --nmax, not --n\n"),
+    (["--table", "--q", "3", "--n", "2", "--nmax", "4"], "pascal: --table takes --nmax, not --n\n"),
+    (["--row", "--q", "3", "--n", "2", "--qmax", "0", "--nmax", "-4"],
+     "pascal: --row takes --q and --n, not --qmax or --nmax\n"),
+    (["--row", "--q", "3", "--n", "2", "--qmax", "5"],
+     "pascal: --row takes --q and --n, not --qmax or --nmax\n"),
+    (["--row", "--q", "3", "--n", "2", "--nmax", "5"],
+     "pascal: --row takes --q and --n, not --qmax or --nmax\n"),
+])
+def test_pascal_rejects_options_its_mode_ignores(capsys, argv, error):
+    assert run(["pascal", *argv]) == 2
+    assert capsys.readouterr() == ("", error)
+
+
+def test_pascal_grid_defaults_apply_when_unset(capsys):
+    assert run(["pascal", "--identity-sweep"]) == 0
+    unset = capsys.readouterr()
+    assert run(["pascal", "--identity-sweep", "--qmax", "4", "--nmax", "8"]) == 0
+    assert capsys.readouterr() == unset
+    assert run(["pascal", "--table", "--nmax", "1"]) == 0
+    assert capsys.readouterr().out == joined_table([2, 3, 4], 1)
+
+
 def test_undecided_bound_stops_the_sweep(capsys, monkeypatch):
     # brackets too wide to decide the multinomial bound of (1, 2)
     monkeypatch.setattr(pascal, "_PI", (3 * 10 ** 40, 4 * 10 ** 40))

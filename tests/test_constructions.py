@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -115,11 +116,12 @@ def test_rs_augment_round_trip_exhaustive_tiny():
         for u in product((0, 1), repeat=n):
             clean = encode(code.matrix, u)
             assert cons.rs_augmented_decode(code, clean) == u
-            for size in range(1, t + 1):
-                for support in combinations(range(k), size):
-                    for vals in product(values, repeat=size):
-                        received = apply_errors(clean, dict(zip(support, vals)))
-                        assert cons.rs_augmented_decode(code, received) == u
+            # Every corrupted word of this u, decoded as one batch.
+            words = [apply_errors(clean, dict(zip(support, vals)))
+                     for size in range(1, t + 1)
+                     for support in combinations(range(k), size)
+                     for vals in product(values, repeat=size)]
+            assert cons.rs_augmented_decode(code, np.array(words)) == [u] * len(words)
 
 
 def test_rs_augment_extended_matrix_tolerates_t():
