@@ -86,21 +86,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="build a code and write its JSON artifact")
     p_con.add_argument("--method", required=True,
                        choices=["trivial", "rs-augment", "random", "kronecker"])
-    p_con.add_argument("--q", type=int, default=2)
+    # None when not given, so that a method which ignores them can say so;
+    # cmd_construct resolves --q 2, --t 1, --max-attempts 100, --outer search.
+    p_con.add_argument("--q", type=int)
     p_con.add_argument("--n", type=int)
     p_con.add_argument("--k", type=int, help="length override for the random method")
-    p_con.add_argument("--t", type=int, default=1)
+    p_con.add_argument("--t", type=int)
     p_con.add_argument("--tau", type=_parse_fraction,
                        help="linear error fraction for the random method "
                             "(t becomes floor(tau * k))")
     p_con.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_con.add_argument("--max-attempts", type=int, default=100)
+    p_con.add_argument("--max-attempts", type=int)
     p_con.add_argument("--epsilon", type=_parse_fraction,
                        help="total slack for the kronecker method, e.g. 1/16")
     p_con.add_argument("--p", type=int, help="inner matrix rows (kronecker)")
     p_con.add_argument("--s", type=int, help="inner matrix columns (kronecker)")
     p_con.add_argument("--r", type=int, help="outer code dimension (kronecker)")
-    p_con.add_argument("--outer", default="search", choices=["search", "repetition"])
+    p_con.add_argument("--outer", choices=["search", "repetition"])
     p_con.add_argument("--c1", type=int, help="outer length multiplier override")
     p_con.add_argument("--inner-t", type=int,
                        help="override the planned inner error tolerance")
@@ -208,29 +210,59 @@ def cmd_pascal(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
+# The method-specific options of construct that each method reads.
+CONSTRUCT_OPTIONS = {
+    "trivial": ("--n",),
+    "rs-augment": ("--n", "--t"),
+    "random": ("--q", "--n", "--k", "--t", "--tau", "--max-attempts"),
+    "kronecker": ("--q", "--epsilon", "--p", "--s", "--r", "--outer", "--c1", "--inner-t"),
+}
+
+
+def _ignored_construct_option(args: argparse.Namespace) -> Optional[str]:
+    """Why a given option would go unread by construct, or None if none would."""
+    for option in dict.fromkeys(itertools.chain(*CONSTRUCT_OPTIONS.values())):
+        if getattr(args, option[2:].replace("-", "_")) is not None \
+                and option not in CONSTRUCT_OPTIONS[args.method]:
+            return f"--method {args.method} does not take {option}"
+    if args.t is not None and args.tau is not None:
+        return "--tau sets t to floor(tau * k); drop --t"
+    if args.c1 is not None and args.outer != "repetition":
+        return "--c1 is read only with --outer repetition"
+    return None
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
+    ignored = _ignored_construct_option(args)
+    if ignored is not None:
+        print(f"construct: {ignored}", file=sys.stderr)
+        return EXIT_USAGE
+    q = 2 if args.q is None else args.q
+    t = 1 if args.t is None else args.t
     try:
         if args.method != "kronecker" and args.n is None:
             raise ValueError("--n is required")
         if args.method == "trivial":
             code = cons.PlainCode(cons.construct_trivial(args.n), 0, {"kind": "trivial"})
         elif args.method == "rs-augment":
-            code = cons.rs_augment(cons.construct_trivial(args.n), args.t)
+            code = cons.rs_augment(cons.construct_trivial(args.n), t)
         elif args.method == "random":
-            t, k = args.t, args.k
+            k = args.k
             if args.tau is not None:
-                if k is None:
-                    k = cons.plan_random_length(args.n, args.q, bounds_mod.LinearTau(args.tau))
+                # Planned even under --k: planning refuses a tau at the threshold.
+                planned = cons.plan_random_length(args.n, q, bounds_mod.LinearTau(args.tau))
+                k = planned if k is None else k
                 t = math.floor(args.tau * k)
-            code = cons.construct_random(args.n, args.q, t, args.seed,
-                                         max_attempts=args.max_attempts,
-                                         k_override=k, limit=args.limit_z)
+            code = cons.construct_random(
+                args.n, q, t, args.seed,
+                max_attempts=100 if args.max_attempts is None else args.max_attempts,
+                k_override=k, limit=args.limit_z)
         else:  # kronecker
             if args.epsilon is None or not (args.p and args.s and args.r):
                 raise ValueError("kronecker needs --epsilon, --p, --s, --r")
-            code = cons.build_kronecker(args.q, args.epsilon, args.p, args.s,
+            code = cons.build_kronecker(q, args.epsilon, args.p, args.s,
                                         args.r, seed=args.seed,
-                                        outer_kind=args.outer,
+                                        outer_kind=args.outer or "search",
                                         t_inner=args.inner_t, c1=args.c1)
     except ConstructionFailure as exc:
         print(f"construction failed after {exc.attempts} attempts: {exc}",
@@ -264,7 +296,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     matrix = code.matrix
     t = code.design_t if args.t is None else args.t
     try:
-        code.decoder(t, args.limit_u)  # checks the 2^n budget before any round
+        code.decode_batch([], t, args.limit_u)  # checks the 2^n budget before any round
     except CapacityError as exc:
         print(f"simulate: {exc}; raise --limit-u to override", file=sys.stderr)
         return EXIT_USAGE

@@ -18,9 +18,11 @@ Three families, in increasing ambition:
 
 Every family, and PlainCode for a plain matrix, has the same members:
 `matrix` (the k x n channel matrix), `design_t` (its error budget),
-`decode_batch(words, t, limit_u)` (the matched decoder, one outcome per
-received word), `decoder(t, limit_u)` (the same on one word) and `to_json` /
+`decode_batch(words, t, limit_u)` (the matched decoder) and `to_json` /
 `from_json`, whose envelope holds every parameter the code is rebuilt from.
+Decoding takes a batch, a 2-D array or a list of equal-length received
+words, and gives one outcome per word: the activity vector, or the
+AmbiguousDecoding/DecodingFailure of that word.  One word y is the batch [y].
 """
 
 from __future__ import annotations
@@ -29,18 +31,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
 from .bounds import ConstantT, TMode, achievable_random, max_correctable_fraction
 from .core import (
     SignatureMatrix,
-    _as_batch,
     _check_u_limit,
     _integer_batch,
-    _is_batch,
-    _unwrap,
     decode_min_distance,
     derive_seed,
     dumps_canonical,
@@ -77,11 +76,6 @@ def construct_trivial(n: int) -> SignatureMatrix:
     return SignatureMatrix(q=2, rows=rows)
 
 
-def _decode_one(code, word, t: int, limit_u: int | None):
-    """`code.decode_batch` on one word: its activity vector, or its failure raised."""
-    return _unwrap(code.decode_batch([word], t, limit_u)[0])
-
-
 def _as_stated(code, obj: dict):
     """`code`, if its envelope equals `obj` on every key it writes."""
     rebuilt = code.to_json()
@@ -106,12 +100,9 @@ class PlainCode:
     record: dict
 
     def decode_batch(self, words, t: int, limit_u: int | None = None) -> list:
-        """decode_min_distance at budget t, within the 2^n limit limit_u."""
-        return decode_min_distance(_as_batch(words, self.matrix.k), self.matrix, t, limit_u)
-
-    def decoder(self, t: int, limit_u: int | None = None):
+        """decode_min_distance of the batch at budget t, checking the 2^n limit limit_u first."""
         _check_u_limit(self.matrix.n, limit_u)
-        return partial(_decode_one, self, t=t, limit_u=limit_u)
+        return decode_min_distance(words, self.matrix, t, limit_u)
 
     def to_json(self) -> dict:
         return {**self.record, "design_t": self.design_t, "matrix": self.matrix.to_json()}
@@ -164,15 +155,10 @@ class AugmentedCode:
         return 2 * self.t * self.bit_width
 
     def decode_batch(self, words, t: int, limit_u: int | None = None) -> list:
-        """rs_augmented_decode (its own t); checks a non-identity base's 2^n search."""
+        """rs_augmented_decode of the batch at its own t; checks a non-identity base's 2^n limit."""
         if not self._base_is_identity:
             _check_u_limit(self.base.n, limit_u)
-        return rs_augmented_decode(self, _as_batch(words, self.matrix.k))
-
-    def decoder(self, t: int, limit_u: int | None = None):
-        if not self._base_is_identity:
-            _check_u_limit(self.base.n, limit_u)
-        return partial(_decode_one, self, t=t, limit_u=limit_u)
+        return rs_augmented_decode(self, words)
 
     def to_json(self) -> dict:
         return {
@@ -229,7 +215,7 @@ def rs_augment(base: SignatureMatrix, t: int) -> AugmentedCode:
     return AugmentedCode(base, extended, t, codec, bit_width)
 
 
-def rs_augmented_decode(code: AugmentedCode, y):
+def rs_augmented_decode(code: AugmentedCode, y) -> list:
     """Recover the activity vector from an output with at most t errors.
 
     Data symbols are the first k_lin positions reduced mod q_RS; each parity
@@ -238,24 +224,23 @@ def rs_augmented_decode(code: AugmentedCode, y):
     F_q_RS).  One channel error touches at most one RS symbol, so RS
     decoding returns the exact noiseless word, which the base then inverts;
     a base other than the identity by a 2^n search within no budget of its
-    own (AugmentedCode.decoder checks the caller's).
+    own (AugmentedCode.decode_batch checks the caller's).
 
-    `y` may also be a 2-D array with one received word per row.  The result
-    is then a list with one outcome per row: the activity vector, or the
-    DecodingFailure/AmbiguousDecoding of that word.
+    `y` is a batch: a 2-D array with one received word per row, or a list
+    of equal-length words.  The result is a list with one outcome per word:
+    the activity vector, or the DecodingFailure/AmbiguousDecoding of that
+    word.
     """
     import numpy as np
 
     k_lin = code.base.k
-    batch = _is_batch(y)
-    length = y.shape[1] if batch else len(y)
-    if length != code.matrix.k:
-        raise ValueError(f"word length {length} != extended k = {code.matrix.k}")
-    words = _integer_batch(y if batch else [y], length)
+    words = _integer_batch(y, code.matrix.k)
+    if words.shape[1] != code.matrix.k:
+        raise ValueError(f"word length {words.shape[1]} != extended k = {code.matrix.k}")
     q_rs, width = code.q_rs, code.bit_width
     # A parity symbol sums bit rows scaled by up to 2^(width - 1).
-    if words.dtype != object and len(words) and (
-            width >= 62 or max(-int(words.min()), int(words.max())) >> (62 - width)):
+    if words.dtype != object and (width >= 62 or len(words) and (
+            max(-int(words.min()), int(words.max())) >> (62 - width))):
         words = words.astype(object)
     bits = words[:, k_lin:].reshape(len(words), 2 * code.t, width)
     scales = np.array([1 << b for b in range(width)], dtype=words.dtype)
@@ -268,11 +253,11 @@ def rs_augmented_decode(code: AugmentedCode, y):
             outcomes[i] = tuple(word) if all(v in (0, 1) for v in word) else \
                 DecodingFailure("recovered word is not an activity vector")
     elif recovered:
-        base_words = _as_batch([outcomes[i] for i in recovered], k_lin)
+        base_words = [outcomes[i] for i in recovered]
         for i, vector in zip(recovered, decode_min_distance(base_words, code.base, 0,
                                                              code.base.n)):
             outcomes[i] = vector
-    return outcomes if batch else _unwrap(outcomes[0])
+    return outcomes
 
 
 def plan_random_length(n: int, q: int, t_mode: TMode) -> int:
@@ -472,11 +457,8 @@ class KroneckerCode:
     design_t = certified_budget
 
     def decode_batch(self, words, t: int, limit_u: int | None = None) -> list:
-        """kronecker_decode, which needs no 2^n search and corrects up to design_t."""
-        return kronecker_decode(self, _as_batch(words, self.matrix.k))
-
-    def decoder(self, t: int, limit_u: int | None = None):
-        return partial(_decode_one, self, t=t, limit_u=limit_u)
+        """kronecker_decode of the batch, which needs no 2^n search and corrects up to design_t."""
+        return kronecker_decode(self, words)
 
     @property
     def asymptotic_budget(self) -> Optional[int]:
@@ -548,7 +530,7 @@ def kronecker_compose(outer: BinaryLinearCode, inner: SignatureMatrix,
     return KroneckerCode(inner, outer, composed, t_inner, eps1, eps2)
 
 
-def kronecker_decode(code: KroneckerCode, b):
+def kronecker_decode(code: KroneckerCode, b) -> list:
     """Rows-then-blocks decoding of the composed code.
 
     Step 1 lifts each inner row index i: the subsequence (b[a*p+i])_a equals
@@ -558,20 +540,19 @@ def kronecker_decode(code: KroneckerCode, b):
     untrusted vector otherwise.  Step 2 searches each user block for the bit
     pattern whose inner image differs from the lifted values in the fewest
     rows; at most t_inner untrusted rows are outvoted.  Ties mean the error
-    budget was exceeded and raise AmbiguousDecoding.
+    budget was exceeded and give AmbiguousDecoding.
 
-    `b` may also be a 2-D array with one received word per row.  All rows of
-    all words are then lifted by one integer_lift_decode call and every
-    block searched at once; the result is a list with one outcome per row:
-    the activity vector, or the AmbiguousDecoding of that word.
+    `b` is a batch: a 2-D array with one received word per row, or a list of
+    equal-length words.  All rows of all words are lifted by one
+    integer_lift_decode call and every block searched at once; the result
+    is a list with one outcome per word: the activity vector, or the
+    AmbiguousDecoding of that word.
     """
     p, s, r = code.p, code.s, code.r
     n_outer = code.outer.N
-    batch = _is_batch(b)
-    length = b.shape[1] if batch else len(b)
-    if length != n_outer * p:
-        raise ValueError(f"word length {length} != k = {n_outer * p}")
-    words = _integer_batch(b if batch else [b], length)
+    words = _integer_batch(b, n_outer * p)
+    if words.shape[1] != n_outer * p:
+        raise ValueError(f"word length {words.shape[1]} != k = {n_outer * p}")
     count = len(words)
     # Row (word, i) of the segments holds b[a*p + i] over a.
     segments = words.reshape(count, n_outer, p).transpose(0, 2, 1).reshape(count * p, n_outer)
@@ -592,7 +573,7 @@ def kronecker_decode(code: KroneckerCode, b):
                 f"block {j}: tie at {lows[j]} mismatched rows (error budget exceeded)"))
         else:
             outcomes.append(tuple(bits))
-    return outcomes if batch else _unwrap(outcomes[0])
+    return outcomes
 
 
 def build_kronecker(q: int, epsilon, p: int, s: int, r: int, seed: int = 0,

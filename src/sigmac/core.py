@@ -242,9 +242,7 @@ def _received_symbol(value, cap: int) -> int:
     return whole if whole == value and 0 <= whole <= cap else -1
 
 
-def _is_batch(y) -> bool:
-    """True for a 2-D array: a batch of received words, one per row."""
-    return getattr(y, "ndim", 1) == 2
+_NOT_A_BATCH = "a batch of words is expected: a 2-D array or a list of words; one word y is [y]"
 
 
 def _as_batch(words, length: int):
@@ -253,17 +251,24 @@ def _as_batch(words, length: int):
     Integer entries are held as int64 where numpy infers an integer type;
     any other entry (a float, an int beyond 64 bits, which numpy would round
     to a float) keeps its Python value in an object array.  `length` is the
-    row length of an empty batch.
+    row length of an empty batch.  One bare word, a 1-D array or a sequence
+    of entries, raises ValueError: a single word y is the batch [y].
     """
     # Imported here, not with the module: only decoding needs numpy, and its
     # import costs a fresh process about 0.15 s.
     import numpy as np
 
-    if _is_batch(words):
+    if hasattr(words, "ndim"):
+        if words.ndim != 2:
+            raise ValueError(_NOT_A_BATCH)
         batch = words
     else:
         words = list(words)
-        if len({len(word) for word in words}) > 1:
+        try:
+            lengths = {len(word) for word in words}
+        except TypeError:
+            raise ValueError(_NOT_A_BATCH) from None
+        if len(lengths) > 1:
             raise ValueError("received words differ in length")
         if not words:
             return np.zeros((0, length), dtype=np.int64)
@@ -293,13 +298,6 @@ def _integer_batch(words, length: int):
     return np.array([int(value) for value in values], dtype=object).reshape(batch.shape)
 
 
-def _unwrap(outcome):
-    """A batch-of-one outcome as a one-word call gives it: returned or raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 class _HalfTables(NamedTuple):
     """The part of decode_min_distance's search that depends only on M."""
 
@@ -321,21 +319,19 @@ def _subset_sums(columns):
 
 
 def _received_symbols(words, cap: int, dtype):
-    """Received words (a 2-D array or a list of words) as _received_symbol rows in `dtype`."""
+    """A 2-D array of received words as _received_symbol rows in `dtype`."""
     import numpy as np
 
-    if getattr(words, "dtype", None) is not None and words.dtype.kind in "iu":
+    if words.dtype.kind in "iu":
         whole = (words >= 0) & (words <= cap)
         symbols = np.where(whole, words, 0).astype(dtype)
         symbols[~whole] = -1
         return symbols
     # An int already in [0, cap] is its own symbol; only the rest, such as
     # floats and values an error pushed out of range, need _received_symbol.
-    batch = _is_batch(words)
     symbols = np.array([[v if type(v) is int and 0 <= v <= cap else _received_symbol(v, cap)
-                         for v in word] for word in (words.tolist() if batch else words)],
-                       dtype=dtype)
-    return symbols.reshape(words.shape) if batch else symbols
+                         for v in word] for word in words.tolist()], dtype=dtype)
+    return symbols.reshape(words.shape)
 
 
 def _min_distance_search(received, matrix: SignatureMatrix, t: int) -> list:
@@ -390,33 +386,30 @@ def _min_distance_search(received, matrix: SignatureMatrix, t: int) -> list:
     return outcomes
 
 
-def decode_min_distance(y, matrix: SignatureMatrix, t: int,
-                        limit: int | None = None):
-    """Return the activity vector u minimizing wt(y - M u).
+def decode_min_distance(words, matrix: SignatureMatrix, t: int,
+                        limit: int | None = None) -> list:
+    """For each received word y, the activity vector u minimizing wt(y - M u).
+
+    `words` is a batch: a 2-D array with one received word per row, or a
+    list of equal-length words.  The result holds one outcome per word: its
+    activity vector, or AmbiguousDecoding for a tie at the minimum or a
+    second candidate within distance t.  When the matrix tolerates t errors
+    and at most t positions of a word were corrupted, the minimizer is
+    unique and equals the transmitted vector.
 
     Searches all 2^n candidates by meeting in the middle: with the columns
     split at h = n // 2, candidate u = (a, b) has weight equal to the number
     of rows where (y - M_A a) and M_B b differ.  Both halves are tabulated
     once per matrix and kept on it; the weights are taken in blocks of about
-    DECODE_BLOCK row comparisons.  When the matrix tolerates t errors and at
-    most t positions were corrupted, the minimizer is unique and equals the
-    transmitted vector.  A tie at the minimum, or a second candidate within
-    distance t, raises AmbiguousDecoding instead of silently picking one.
-
-    `y` may also be a 2-D array with one received word per row.  The result
-    is then a list with one outcome per row: the activity vector, or the
-    AmbiguousDecoding the word alone would raise.
+    DECODE_BLOCK row comparisons.
     """
     n, k = matrix.n, matrix.k
-    batch = _is_batch(y)
-    length = y.shape[1] if batch else len(y)
-    if length != k:
-        raise ValueError(f"received word length {length} != k = {k}")
+    batch = _as_batch(words, k)
+    if batch.shape[1] != k:
+        raise ValueError(f"received word length {batch.shape[1]} != k = {k}")
     _check_u_limit(n, limit)
     tables = matrix._half_tables
-    received = _received_symbols(y if batch else [y], tables.cap, tables.dtype)
-    outcomes = _min_distance_search(received, matrix, t)
-    return outcomes if batch else _unwrap(outcomes[0])
+    return _min_distance_search(_received_symbols(batch, tables.cap, tables.dtype), matrix, t)
 
 
 @dataclass(frozen=True)
@@ -488,22 +481,21 @@ _FIND_WITNESS = object()
 
 def simulate_round(matrix: SignatureMatrix, u, t: int, error_mode: str, seed,
                    decode_batch: Callable | None = None,
-                   witness: Optional[AdversarialWitness] = _FIND_WITNESS):
-    """One encode / corrupt / decode round, deterministic given the seed.
+                   witness: Optional[AdversarialWitness] = _FIND_WITNESS) -> list:
+    """Encode / corrupt / decode rounds, one TrialRecord per row of `u`.
 
-    In random mode, exactly t positions are hit with values drawn uniformly
-    from [-n(q-1), n(q-1)] minus {0}.  In worst-case mode the transmitted
-    vector and errors come from adversarial_witness; when no witness exists
-    (the matrix tolerates t) the round falls back to a random draw and notes
-    that.  A caller running many rounds passes adversarial_witness(matrix, t)
-    as `witness`, None included, so that the 3^n walk runs once; left out,
-    it runs here, within the default limit.
+    `u` is a batch of activity vectors (a 2-D array, or a list of
+    equal-length vectors) and `seed` holds one seed per vector.  Each round
+    draws its errors from its own seed, so its record does not depend on
+    the batch it ran in.  In random mode, exactly t positions are hit with
+    values drawn uniformly from [-n(q-1), n(q-1)] minus {0}.  In worst-case
+    mode the transmitted vector and errors come from adversarial_witness;
+    when no witness exists (the matrix tolerates t) the round falls back to
+    a random draw and notes that.  A caller running many batches passes
+    adversarial_witness(matrix, t) as `witness`, None included, so that the
+    3^n walk runs once; left out, it runs here, within the default limit.
 
-    `u` may also be a 2-D array with one activity vector per row and `seed`
-    a sequence with one seed per row; the rounds then run as one chunk and
-    the result is a list of records.  Each round draws its errors from its
-    own seed, so a round's record does not depend on the chunk it ran in.
-    The chunk is encoded by one matrix product and decoded by one call of
+    The rounds are encoded by one matrix product and decoded by one call of
     `decode_batch`, which maps a 2-D array of received words to one outcome
     per word (the decoded vector, or the AmbiguousDecoding/DecodingFailure
     of that word), as a code's decode_batch does.  The default is
@@ -511,36 +503,31 @@ def simulate_round(matrix: SignatureMatrix, u, t: int, error_mode: str, seed,
     """
     import numpy as np
 
-    chunk = _is_batch(u)
-    if chunk:
-        if u.shape[1] != matrix.n:
-            raise ValueError(f"activity vector length {u.shape[1]} != n = {matrix.n}")
-        if ((u != 0) & (u != 1)).any():
-            raise ValueError("activity vector entries must be 0 or 1")
-        if len(seed) != len(u):
-            raise ValueError(f"{len(seed)} seeds for {len(u)} rounds")
-        vectors, seeds = [tuple(row) for row in u.tolist()], seed
-    else:
-        _check_info_vector(u, matrix.n)
-        vectors, seeds = [tuple(u)], [seed]
+    u = _as_batch(u, matrix.n)
+    if u.shape[1] != matrix.n:
+        raise ValueError(f"activity vector length {u.shape[1]} != n = {matrix.n}")
+    if ((u != 0) & (u != 1)).any():
+        raise ValueError("activity vector entries must be 0 or 1")
+    if len(seed) != len(u):
+        raise ValueError(f"{len(seed)} seeds for {len(u)} rounds")
     if t < 0 or t > matrix.k:
         raise ValueError(f"need 0 <= t <= k, got t={t}")
-    note, transmitted, errors = "", vectors, None
+    note, transmitted, errors = "", [tuple(row) for row in u.tolist()], None
     if error_mode == WORST_CASE_ERRORS:
         if witness is _FIND_WITNESS:
             witness = adversarial_witness(matrix, t)
         if witness is None:
             note = "no adversarial witness exists at this budget; random draw used"
         else:
-            transmitted = [witness.u1] * len(vectors)
-            errors = [dict(witness.e1) for _ in seeds]
+            transmitted = [witness.u1] * len(u)
+            errors = [dict(witness.e1) for _ in seed]
     elif error_mode != RANDOM_ERRORS:
         raise ValueError(f"unknown error mode {error_mode!r}")
     if errors is None:
-        errors = [_draw_error_pattern(matrix, t, s) for s in seeds]
+        errors = [_draw_error_pattern(matrix, t, s) for s in seed]
     # Entries of M u and error values both lie within n(q-1) in magnitude.
     dtype = np.int64 if 2 * matrix.n * (matrix.q - 1) < 1 << 62 else object
-    received = np.array(transmitted, dtype=dtype).reshape(len(vectors), matrix.n) \
+    received = np.array(transmitted, dtype=dtype).reshape(len(u), matrix.n) \
         @ np.array(matrix.rows, dtype=dtype).T
     hits = [(i, pos, val) for i, pattern in enumerate(errors) for pos, val in pattern.items()]
     if hits:
@@ -554,4 +541,4 @@ def simulate_round(matrix: SignatureMatrix, u, t: int, error_mode: str, seed,
                                        note=f"{type(decoded).__name__}: {decoded}"))
         else:
             records.append(TrialRecord(decoded == sent, sent, decoded, pattern, note=note))
-    return records if chunk else records[0]
+    return records

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .core import _integer_batch, _is_batch, _unwrap, derive_seed
+from .core import _integer_batch, derive_seed
 from .errors import ConstructionFailure, DecodingFailure
 
 
@@ -199,7 +199,7 @@ def rs_encode(codec: RSCodec, message: Sequence[int]) -> list[int]:
     return list(message) + parities
 
 
-def rs_decode(codec: RSCodec, received):
+def rs_decode(codec: RSCodec, received) -> list:
     """Syndrome decoding of up to t = floor((n_rs - k_rs)/2) symbol errors.
 
     Peterson-Gorenstein-Zierler: for r = c + e the syndromes are
@@ -209,23 +209,21 @@ def rs_decode(codec: RSCodec, received):
     (S_(l+m)) is nonsingular when nu is the number of errors and singular
     above it.  The largest nonsingular nu <= t gives the locator, whose roots
     among the evaluation points (0 included) are the error positions; the
-    first nu parity checks then give the error values.  The corrected word
-    is returned only if it passes every parity check, so the answer is the
-    unique codeword within the radius; DecodingFailure is raised when there
-    is none.
+    first nu parity checks then give the error values.  A corrected word
+    counts only if it passes every parity check, so the answer is the
+    unique codeword within the radius, or DecodingFailure when there is none.
 
-    `received` may also be a 2-D array with one word per row.  Every step
-    then runs on all words at once, and the result is a list with one
-    outcome per row: the message, or the DecodingFailure of that word.
+    `received` is a batch: a 2-D array with one word per row, or a list of
+    equal-length words.  Every step runs on all words at once, and the
+    result is a list with one outcome per word: its message, or its
+    DecodingFailure.
     """
     import numpy as np
 
     n, k = codec.n_rs, codec.k_rs
-    batch = _is_batch(received)
-    length = received.shape[1] if batch else len(received)
-    if length != n:
-        raise ValueError(f"received length {length} != n_rs = {n}")
-    words = _integer_batch(received if batch else [received], n)
+    words = _integer_batch(received, n)
+    if words.shape[1] != n:
+        raise ValueError(f"received length {words.shape[1]} != n_rs = {n}")
     p = codec.field.p
     if len(words) and (words.min() < 0 or words.max() >= p):
         raise ValueError(f"element {words[(words < 0) | (words >= p)][0]} outside F_{p}")
@@ -251,7 +249,7 @@ def rs_decode(codec: RSCodec, received):
     for i in pending.tolist():
         outcomes[i] = DecodingFailure(
             "no error locator of degree at most the radius fits the syndromes")
-    return outcomes if batch else _unwrap(outcomes[0])
+    return outcomes
 
 
 def _correct(codec: RSCodec, words, syndromes, rows, locators, outcomes) -> None:
@@ -443,19 +441,18 @@ def integer_lift_decode(code: BinaryLinearCode, y, w_max: int):
     treat it as untrusted (ties are then resolved to the first codeword
     found instead of failing).
 
-    `y` may also be a 2-D array with one word per row; the planes of all
-    words are then taken at once, each distinct parity pattern is decoded
-    once, and the result is a 2-D array with one w per row.
+    `y` is a batch: a 2-D array with one word per row, or a list of
+    equal-length words.  The planes of all words are taken at once, each
+    distinct parity pattern is decoded once, and the result is a 2-D array
+    with one w per word.
     """
     import numpy as np
 
-    batch = _is_batch(y)
-    length = y.shape[1] if batch else len(y)
-    if length != code.N:
-        raise ValueError(f"word length {length} != N = {code.N}")
+    values = _integer_batch(y, code.N)
+    if values.shape[1] != code.N:
+        raise ValueError(f"word length {values.shape[1]} != N = {code.N}")
     if w_max < 0:
         raise ValueError("w_max must be >= 0")
-    values = _integer_batch(y if batch else [y], code.N)
     planes = w_max.bit_length()
     w = np.zeros((len(values), code.K), dtype=np.int64 if planes < 63 else object)
     # Bit i of a word's parity pattern is the parity of its entry i.
@@ -469,4 +466,4 @@ def integer_lift_decode(code: BinaryLinearCode, y, w_max: int):
         bits = messages.reshape(len(patterns), code.K)[which.reshape(-1)]
         w += bits.astype(w.dtype) << plane
         values = (values - bits @ generator) >> 1
-    return w if batch else tuple(w[0].tolist())
+    return w

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import per_word
 from sigmac import cli
 from sigmac import constructions as cons
+from sigmac import core
 from sigmac.core import SignatureMatrix, encode
-from sigmac.errors import AmbiguousDecoding, DecodingFailure
+from sigmac.errors import AmbiguousDecoding, CapacityError, DecodingFailure
 from sigmac.linear import (
     BinaryLinearCode,
     PrimeField,
@@ -74,7 +75,7 @@ def test_plain_batch_matches_per_word(seed, size, q, n, k, t, as_array):
               -1, cap + 1, 10**30, -10**30, 0.5, float(cap)]
     words = noisy_words(rng, matrix, size, 3, values)
     code = cons.PlainCode(matrix, 0, {"kind": "matrix"})
-    batch = cons._as_batch(words, k) if as_array else words
+    batch = core._as_batch(words, k) if as_array else words
     got = [as_outcome(o) for o in code.decode_batch(batch, t)]
     assert got == per_word_outcomes(per_word.decoder(code, t), words)
     for result in got:
@@ -115,7 +116,7 @@ def test_rs_decode_batch_matches_per_word(seed, size, p, k, t):
         for pos in rng.sample(range(codec.n_rs), rng.randint(0, t + 2)):
             word[pos] = rng.randrange(p)
         words.append(word)
-    got = [as_outcome(o) for o in rs_decode(codec, cons._as_batch(words, codec.n_rs))]
+    got = [as_outcome(o) for o in rs_decode(codec, core._as_batch(words, codec.n_rs))]
     assert got == [per_word.outcome(lambda w: per_word.rs_decode(codec, w), w) for w in words]
 
 
@@ -180,26 +181,28 @@ def test_integer_lift_batch_matches_per_word(code, seed, size, w_max):
     outer = code.outer
     words = [tuple(rng.choice([rng.randint(-9, 9), 2**64 + 3]) for _ in range(outer.N))
              for _ in range(size)]
-    got = integer_lift_decode(outer, cons._as_batch(words, outer.N), w_max)
+    got = integer_lift_decode(outer, core._as_batch(words, outer.N), w_max)
     assert got.shape == (size, outer.K)
     assert [tuple(row) for row in got.tolist()] == \
         [per_word.integer_lift_decode(outer, word, w_max) for word in words]
 
 
+TINY_KRONECKER = cons.kronecker_compose(
+    BinaryLinearCode(generator=((1, 1, 1),), design_distance=3),
+    SignatureMatrix(q=2, rows=((1, 0), (1, 1))), t_inner=0)
+
+
 @pytest.mark.parametrize("entry", [1.0, 2.5, float("nan")])
 def test_structured_decoders_reject_non_integer_entries(entry):
     """A float would be truncated to a symbol the channel never sent."""
-    rs = RS_CODES[0]
-    kron = cons.kronecker_compose(
-        BinaryLinearCode(generator=((1, 1, 1),), design_distance=3),
-        SignatureMatrix(q=2, rows=((1, 0), (1, 1))), t_inner=0)
+    rs, kron = RS_CODES[0], TINY_KRONECKER
     calls = [
         (lambda word: rs.decode_batch([word], rs.t), rs.matrix.k),
-        (lambda word: cons.rs_augmented_decode(rs, word), rs.matrix.k),
+        (lambda word: cons.rs_augmented_decode(rs, [word]), rs.matrix.k),
         (lambda word: kron.decode_batch([word], 0), kron.matrix.k),
-        (lambda word: cons.kronecker_decode(kron, word), kron.matrix.k),
-        (lambda word: rs_decode(rs.codec, word), rs.codec.n_rs),
-        (lambda word: integer_lift_decode(kron.outer, word, 2), kron.outer.N),
+        (lambda word: cons.kronecker_decode(kron, [word]), kron.matrix.k),
+        (lambda word: rs_decode(rs.codec, [word]), rs.codec.n_rs),
+        (lambda word: integer_lift_decode(kron.outer, [word], 2), kron.outer.N),
     ]
     for decode, length in calls:
         for pos in (0, length - 1):
@@ -207,6 +210,62 @@ def test_structured_decoders_reject_non_integer_entries(entry):
             word[pos] = entry
             with pytest.raises(ValueError, match="is not an integer"):
                 decode(word)
+
+
+PLAIN = cons.PlainCode(SignatureMatrix(q=2, rows=((1, 0, 1), (0, 1, 1))), 0, {})
+
+# Every decoder of a batch, and simulate_round, with the length of its words.
+BATCH_CALLS = {
+    "PlainCode.decode_batch": (lambda words: PLAIN.decode_batch(words, 0), 2),
+    "AugmentedCode.decode_batch": (lambda words: RS_CODES[0].decode_batch(words, 1),
+                                   RS_CODES[0].matrix.k),
+    "KroneckerCode.decode_batch": (lambda words: TINY_KRONECKER.decode_batch(words, 0),
+                                   TINY_KRONECKER.matrix.k),
+    "decode_min_distance": (lambda words: core.decode_min_distance(words, PLAIN.matrix, 0), 2),
+    "rs_decode": (lambda words: rs_decode(RS_CODES[0].codec, words), RS_CODES[0].codec.n_rs),
+    "integer_lift_decode": (lambda words: integer_lift_decode(TINY_KRONECKER.outer, words, 2),
+                            TINY_KRONECKER.outer.N),
+    "rs_augmented_decode": (lambda words: cons.rs_augmented_decode(RS_CODES[0], words),
+                            RS_CODES[0].matrix.k),
+    "kronecker_decode": (lambda words: cons.kronecker_decode(TINY_KRONECKER, words),
+                         TINY_KRONECKER.matrix.k),
+    "simulate_round": (lambda words: core.simulate_round(
+        PLAIN.matrix, words, 0, core.RANDOM_ERRORS, seed=[0] * len(words)), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_CALLS))
+@pytest.mark.parametrize("as_array", [False, True], ids=["tuple", "array"])
+def test_a_bare_word_is_not_a_batch(name, as_array):
+    """One word y is the batch [y]; alone, it is refused, not read as len(y) words."""
+    import numpy as np
+
+    call, length = BATCH_CALLS[name]
+    word = (1,) + (0,) * (length - 1)
+    with pytest.raises(ValueError, match="a batch of words is expected"):
+        call(np.array(word) if as_array else word)
+    assert len(call([word])) == 1
+
+
+@pytest.mark.parametrize("name", list(BATCH_CALLS))
+def test_an_empty_batch_gives_no_outcomes(name):
+    call, _ = BATCH_CALLS[name]
+    assert len(call([])) == 0
+
+
+def test_decode_batch_checks_the_2n_limit_before_any_word():
+    # the 3 columns of the plain matrix, and of the RS code's base
+    for code in (PLAIN, RS_CODES[2]):
+        for words in ([], [(0,)], (0, 1)):
+            with pytest.raises(CapacityError, match=r"n=3 exceeds the 2\^n decoding limit \(2\)"):
+                code.decode_batch(words, 0, 2)
+
+
+def test_an_empty_batch_of_64_bit_parity_symbols():
+    # q_RS = 2^61 - 1 makes each parity symbol 64 bit rows wide
+    code = cons.rs_augment(SignatureMatrix(q=2**61, rows=cons.construct_trivial(4).rows), 1)
+    assert code.bit_width == 64
+    assert code.decode_batch([], code.t) == []
 
 
 def test_numpy_integers_in_an_object_batch_are_integers():

@@ -177,9 +177,16 @@ def test_construct_random_linear_tau(tmp_path, capsys):
     obj = json.loads(artifact.read_text())
     assert obj["design_t"] == obj["k"] // 6
     assert obj["d_min"] >= 2 * obj["design_t"] + 1
+    capsys.readouterr()
     assert run(["construct", "--method", "random", "--q", "3", "--n", "8",
                 "--tau", "1/2", "--out", str(tmp_path / "x.json")]) == 2
-    assert "nonexistence" in capsys.readouterr().err
+    refused = capsys.readouterr()
+    assert "nonexistence" in refused.err
+    # a length set by --k does not let a tau at the threshold through
+    assert run(["construct", "--method", "random", "--q", "3", "--n", "8", "--k", "12",
+                "--tau", "1/2", "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr() == refused
+    assert refused.err.count("\n") == 1 and not (tmp_path / "x.json").exists()
 
 
 def test_construct_determinism(tmp_path):
@@ -494,7 +501,54 @@ def test_construct_envelope_reloads_to_the_same_bytes(tmp_path, argv):
     assert code.matrix == SignatureMatrix.from_json(written)
     assert code.design_t == obj["design_t"]
     u = tuple(j % 2 for j in range(code.matrix.n))
-    assert code.decoder(code.design_t, None)(core.encode(code.matrix, u)) == u
+    assert code.decode_batch([core.encode(code.matrix, u)], code.design_t, None) == [u]
+
+
+KRONECKER_SEARCH = ["--method", "kronecker", "--q", "3", "--epsilon", "1/16", "--p", "3",
+                    "--s", "2", "--r", "2", "--inner-t", "1"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (TRIVIAL + ["--q", "5"], "--method trivial does not take --q"),
+    (RS + ["--q", "3"], "--method rs-augment does not take --q"),
+    (TRIVIAL + ["--t", "4"], "--method trivial does not take --t"),
+    (KRONECKER + ["--t", "1"], "--method kronecker does not take --t"),
+    (["--method", "random", "--q", "3", "--n", "8", "--tau", "1/8", "--t", "1"],
+     "--tau sets t to floor(tau * k); drop --t"),
+    (TRIVIAL + ["--k", "5"], "--method trivial does not take --k"),
+    (RS + ["--tau", "1/8"], "--method rs-augment does not take --tau"),
+    (KRONECKER + ["--max-attempts", "5"], "--method kronecker does not take --max-attempts"),
+    (KRONECKER + ["--n", "2"], "--method kronecker does not take --n"),
+    (TRIVIAL + ["--epsilon", "1/16"], "--method trivial does not take --epsilon"),
+    (RANDOM + ["--p", "3"], "--method random does not take --p"),
+    (RS + ["--s", "2"], "--method rs-augment does not take --s"),
+    (RANDOM + ["--r", "1"], "--method random does not take --r"),
+    (TRIVIAL + ["--outer", "search"], "--method trivial does not take --outer"),
+    (RS + ["--inner-t", "1"], "--method rs-augment does not take --inner-t"),
+    (RANDOM + ["--c1", "6"], "--method random does not take --c1"),
+    (KRONECKER_SEARCH + ["--c1", "6"], "--c1 is read only with --outer repetition"),
+    (KRONECKER_SEARCH + ["--outer", "search", "--c1", "6"],
+     "--c1 is read only with --outer repetition"),
+])
+def test_construct_rejects_options_its_method_ignores(tmp_path, capsys, argv, error):
+    out = tmp_path / "a.json"
+    assert run(["construct", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"construct: {error}\n")
+    assert not out.exists()
+
+
+def test_construct_defaults_apply_when_unset(tmp_path):
+    # --q 2, --t 1, --max-attempts 100 and --outer search, written out or left unset
+    for unset, stated in (
+        (["--method", "rs-augment", "--n", "4"], ["--t", "1"]),
+        (["--method", "random", "--n", "5"], ["--q", "2", "--t", "1", "--max-attempts", "100"]),
+        (["--method", "kronecker", "--epsilon", "1/24", "--p", "3", "--s", "2", "--r", "2"],
+         ["--q", "2", "--outer", "search"]),
+    ):
+        a, b = tmp_path / "unset.json", tmp_path / "stated.json"
+        assert run(["construct", *unset, "--out", str(a)]) == 0
+        assert run(["construct", *unset, *stated, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_construct_kronecker_inner_space_above_budget(tmp_path, capsys):

@@ -75,8 +75,8 @@ def test_rs_augmented_decode_clean_and_single_big_error():
     code = cons.rs_augment(cons.construct_trivial(4), 1)
     u = (1, 0, 1, 1)
     y = encode(code.matrix, u)
-    assert cons.rs_augmented_decode(code, y) == u
-    assert cons.rs_augmented_decode(code, apply_errors(y, {0: -9})) == u
+    assert cons.rs_augmented_decode(code, [y]) == [u]
+    assert cons.rs_augmented_decode(code, [apply_errors(y, {0: -9})]) == [u]
 
 
 def test_rs_augmented_decode_vs_min_distance_oracle():
@@ -88,8 +88,8 @@ def test_rs_augmented_decode_vs_min_distance_oracle():
         pos = rng.randrange(code.matrix.k)
         val = rng.choice([v for v in range(-7, 8) if v != 0])
         received = apply_errors(y, {pos: val})
-        assert cons.rs_augmented_decode(code, received) == u
-        assert decode_min_distance(received, code.matrix, 1) == u
+        assert cons.rs_augmented_decode(code, [received]) == [u]
+        assert decode_min_distance([received], code.matrix, 1) == [u]
 
 
 def test_rs_augmented_decode_errors_in_distinct_parity_symbols():
@@ -104,7 +104,7 @@ def test_rs_augmented_decode_errors_in_distinct_parity_symbols():
         for j in symbols:
             bit_row = k_lin + j * width + rng.randrange(width)
             errors[bit_row] = rng.choice([-3, -1, 1, 2, 5])
-        assert cons.rs_augmented_decode(code, apply_errors(y, errors)) == u
+        assert cons.rs_augmented_decode(code, [apply_errors(y, errors)]) == [u]
 
 
 def test_rs_augment_round_trip_exhaustive_tiny():
@@ -115,7 +115,7 @@ def test_rs_augment_round_trip_exhaustive_tiny():
         values = [v for v in range(-code.q_rs, code.q_rs + 1) if v != 0]
         for u in product((0, 1), repeat=n):
             clean = encode(code.matrix, u)
-            assert cons.rs_augmented_decode(code, clean) == u
+            assert cons.rs_augmented_decode(code, [clean]) == [u]
             # Every corrupted word of this u, decoded as one batch.
             words = [apply_errors(clean, dict(zip(support, vals)))
                      for size in range(1, t + 1)
@@ -136,7 +136,7 @@ def test_augmented_code_json_round_trip():
     loaded = cons.AugmentedCode.from_json(json.loads(blob))
     u = (1, 1, 0)
     y = apply_errors(encode(loaded.matrix, u), {2: 4})
-    assert cons.rs_augmented_decode(loaded, y) == u
+    assert cons.rs_augmented_decode(loaded, [y]) == [u]
     assert dumps_canonical(loaded.to_json()) == blob
     tampered = json.loads(blob)
     tampered["extended"]["rows"][3][0] ^= 1
@@ -271,7 +271,7 @@ def test_kronecker_budgets():
 def test_kronecker_decode_clean():
     code = kronecker_fixture()
     for v in product((0, 1), repeat=code.matrix.n):
-        assert cons.kronecker_decode(code, encode(code.matrix, v)) == v
+        assert cons.kronecker_decode(code, [encode(code.matrix, v)]) == [v]
 
 
 def test_kronecker_decode_one_row_fully_corrupted():
@@ -284,7 +284,7 @@ def test_kronecker_decode_one_row_fully_corrupted():
     for inner_row in range(p):
         positions = [a * p + inner_row for a in range(5)]
         errors = {pos: 7 for pos in positions[:code.certified_budget]}
-        assert cons.kronecker_decode(code, apply_errors(clean, errors)) == v
+        assert cons.kronecker_decode(code, [apply_errors(clean, errors)]) == [v]
 
 
 def test_kronecker_decode_random_full_budget():
@@ -296,7 +296,7 @@ def test_kronecker_decode_random_full_budget():
         clean = encode(code.matrix, v)
         support = rng.sample(range(k), code.certified_budget)
         errors = {pos: rng.choice([-3, -2, -1, 1, 2, 3]) for pos in support}
-        assert cons.kronecker_decode(code, apply_errors(clean, errors)) == v
+        assert cons.kronecker_decode(code, [apply_errors(clean, errors)]) == [v]
 
 
 def test_kronecker_json_round_trip():
@@ -307,7 +307,7 @@ def test_kronecker_json_round_trip():
     assert loaded.certified_budget == code.certified_budget
     v = (0, 1)
     y = apply_errors(encode(loaded.matrix, v), {0: 9, 7: -2})
-    assert cons.kronecker_decode(loaded, y) == v
+    assert cons.kronecker_decode(loaded, [y]) == [v]
     tampered = json.loads(blob)
     tampered["composed"]["rows"][0][0] = 2
     with pytest.raises(ValueError):
@@ -345,7 +345,7 @@ def test_build_kronecker_end_to_end():
     assert searched.outer.min_distance() >= searched.outer.design_distance
     v = (1, 0, 0, 1)
     y = encode(searched.matrix, v)
-    assert cons.kronecker_decode(searched, y) == v
+    assert cons.kronecker_decode(searched, [y]) == [v]
     with pytest.raises(ValueError):
         cons.build_kronecker(3, Fraction(1, 16), p=3, s=2, r=2,
                              outer_kind="repetition")
@@ -515,7 +515,7 @@ def test_rs_augmented_decode_is_min_distance_decoding(data):
     t = data.draw(st.integers(1, 2))
     code = cons.rs_augment(base, t)
     u, y = data.draw(corrupted(code.matrix, t))
-    assert cons.rs_augmented_decode(code, y) == decode_min_distance(y, code.matrix, t) == u
+    assert cons.rs_augmented_decode(code, [y]) == decode_min_distance([y], code.matrix, t) == [u]
 
 
 def with_true_distance(generator):
@@ -558,4 +558,5 @@ def test_kronecker_decode_is_min_distance_decoding(data):
     code = cons.kronecker_compose(outer, inner, t_inner=t_inner)
     budget = code.certified_budget
     u, y = data.draw(corrupted(code.matrix, budget))
-    assert cons.kronecker_decode(code, y) == decode_min_distance(y, code.matrix, budget) == u
+    assert cons.kronecker_decode(code, [y]) == decode_min_distance([y], code.matrix, budget) \
+        == [u]

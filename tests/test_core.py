@@ -144,7 +144,7 @@ def test_capacity_limit():
     with pytest.raises(CapacityError):
         min_distinguishing_weight(m, limit=3)
     with pytest.raises(CapacityError):
-        decode_min_distance((0, 0, 0, 0), m, 0, limit=3)
+        decode_min_distance([(0, 0, 0, 0)], m, 0, limit=3)
 
 
 def test_tolerates():
@@ -156,8 +156,8 @@ def test_tolerates():
 
 def test_decode_identity():
     m = identity(2)
-    assert decode_min_distance((1, 1), m, 0) == (1, 1)
-    assert decode_min_distance((1, 0), m, 0) == (1, 0)
+    assert decode_min_distance([(1, 1)], m, 0) == [(1, 1)]
+    assert decode_min_distance([(1, 0)], m, 0) == [(1, 0)]
 
 
 def test_decode_round_trip_exhaustive():
@@ -179,7 +179,7 @@ def test_decode_round_trip_exhaustive():
                     errors = {pos: values[(cases + i) % 4]
                               for i, pos in enumerate(support)}
                     received = apply_errors(clean, errors)
-                    assert decode_min_distance(received, matrix, t) == u
+                    assert decode_min_distance([received], matrix, t) == [u]
                     cases += 1
     # 16*8 + 4*37 + 8*9 + 64*9 support/vector combinations across the codes
     assert cases == 924
@@ -188,8 +188,8 @@ def test_decode_round_trip_exhaustive():
 def test_decode_ambiguity_is_raised():
     duplicated = SignatureMatrix(q=2, rows=((1, 1),))
     # (1,0) and (0,1) explain y = (1,) equally well
-    with pytest.raises(AmbiguousDecoding):
-        decode_min_distance((1,), duplicated, 0)
+    [outcome] = decode_min_distance([(1,)], duplicated, 0)
+    assert isinstance(outcome, AmbiguousDecoding)
 
 
 def test_adversarial_witness_examples():
@@ -227,35 +227,35 @@ def test_simulate_round_deterministic_and_safe():
         if tolerates(cand, 1):
             matrix = cand
     u = (1, 0, 1, 0)
-    first = simulate_round(matrix, u, 1, RANDOM_ERRORS, seed=99)
-    second = simulate_round(matrix, u, 1, RANDOM_ERRORS, seed=99)
+    [first] = simulate_round(matrix, [u], 1, RANDOM_ERRORS, seed=[99])
+    [second] = simulate_round(matrix, [u], 1, RANDOM_ERRORS, seed=[99])
     assert first == second
     assert first.success and len(first.errors) == 1
     # t = 0 always succeeds in any mode
-    assert simulate_round(matrix, u, 0, RANDOM_ERRORS, seed=1).success
-    assert simulate_round(matrix, u, 0, WORST_CASE_ERRORS, seed=1).success
+    assert simulate_round(matrix, [u], 0, RANDOM_ERRORS, seed=[1])[0].success
+    assert simulate_round(matrix, [u], 0, WORST_CASE_ERRORS, seed=[1])[0].success
     for seed in range(200):
-        assert simulate_round(matrix, u, 1, RANDOM_ERRORS, seed=seed).success
+        assert simulate_round(matrix, [u], 1, RANDOM_ERRORS, seed=[seed])[0].success
 
 
 def test_simulate_round_worst_case_failure():
-    record = simulate_round(identity(3), (1, 1, 0), 1, WORST_CASE_ERRORS, seed=0)
+    [record] = simulate_round(identity(3), [(1, 1, 0)], 1, WORST_CASE_ERRORS, seed=[0])
     assert not record.success
 
 
 def test_simulate_round_given_witness_skips_the_walk(monkeypatch):
     matrix = identity(3)
-    found = simulate_round(matrix, (1, 1, 0), 0, WORST_CASE_ERRORS, seed=3)
+    [found] = simulate_round(matrix, [(1, 1, 0)], 0, WORST_CASE_ERRORS, seed=[3])
     walks = []
     monkeypatch.setattr(core, "adversarial_witness",
                         lambda *args: walks.append(args))
     # None is adversarial_witness's answer for a tolerant matrix, not "find it"
-    given = simulate_round(matrix, (1, 1, 0), 0, WORST_CASE_ERRORS, seed=3,
-                           witness=None)
+    [given] = simulate_round(matrix, [(1, 1, 0)], 0, WORST_CASE_ERRORS, seed=[3],
+                             witness=None)
     assert given == found and given.note.startswith("no adversarial witness")
     assert walks == []
 
 
 def test_simulate_round_bad_mode():
     with pytest.raises(ValueError):
-        simulate_round(identity(2), (1, 0), 0, "gaussian", seed=0)
+        simulate_round(identity(2), [(1, 0)], 0, "gaussian", seed=[0])

@@ -75,11 +75,19 @@ def reference_decode(y: Sequence[int], matrix: SignatureMatrix, t: int,
 
 
 def outcome(decode, y, matrix, t, limit=None):
-    """The decoded vector, or the type and text of the exception raised."""
+    """The decoded vector, or the type and text of the failure raised or given."""
     try:
-        return decode(y, matrix, t, limit)
+        result = decode(y, matrix, t, limit)
     except (ValueError, CapacityError, AmbiguousDecoding) as exc:
         return type(exc), str(exc)
+    if isinstance(result, AmbiguousDecoding):
+        return type(result), str(result)
+    return result
+
+
+def decode_one(y, matrix, t, limit=None):
+    """decode_min_distance on the batch of one word y: that word's outcome."""
+    return decode_min_distance([y], matrix, t, limit)[0]
 
 
 def identity(n: int) -> SignatureMatrix:
@@ -142,7 +150,7 @@ HUGE_Q = SignatureMatrix(q=2**64, rows=((2**63, 1), (5, 2**64 - 1)))
 def test_engine_matches_reference(block, case):
     words, matrix, t = case
     with mock.patch.object(core, "DECODE_BLOCK", block):
-        got = [outcome(decode_min_distance, y, matrix, t) for y in words]
+        got = [outcome(decode_one, y, matrix, t) for y in words]
     assert got == [outcome(reference_decode, y, matrix, t) for y in words]
     for result in got:
         if not isinstance(result[0], type):
@@ -152,7 +160,7 @@ def test_engine_matches_reference(block, case):
 def test_engine_checks_match_reference():
     m = identity(4)
     for y, limit in (((0, 0, 0), None), ((0, 0, 0, 0), 3), ((0, 0, 0, 0), -1)):
-        got = outcome(decode_min_distance, y, m, 0, limit)
+        got = outcome(decode_one, y, m, 0, limit)
         assert got[0] in (ValueError, CapacityError)
         assert got == outcome(reference_decode, y, m, 0, limit)
 
@@ -162,10 +170,10 @@ def test_half_tables_are_built_once_per_matrix():
     first, second = identity(6), identity(6)
     with mock.patch.object(core, "_subset_sums", wraps=core._subset_sums) as sums:
         for u in product((0, 1), repeat=6):
-            assert decode_min_distance(encode(first, u), first, 0) == u
+            assert decode_min_distance([encode(first, u)], first, 0) == [u]
         tables = first._half_tables
         assert sums.call_count == 2
-        assert decode_min_distance((1, 0, 1, 0, 0, 1), second, 0) == (1, 0, 1, 0, 0, 1)
+        assert decode_min_distance([(1, 0, 1, 0, 0, 1)], second, 0) == [(1, 0, 1, 0, 0, 1)]
         assert sums.call_count == 4 and first._half_tables is tables
     assert not tables.left.flags.writeable and not tables.right.flags.writeable
 
@@ -177,7 +185,7 @@ def test_checks_come_before_the_tables():
         for y, matrix, limit in (((0,), wide, None), ((0, 0, 0, 0), narrow, 3),
                                  ((0, 0, 0), narrow, None)):
             with pytest.raises((CapacityError, ValueError)):
-                decode_min_distance(y, matrix, 0, limit)
+                decode_min_distance([y], matrix, 0, limit)
     sums.assert_not_called()
     assert "_half_tables" not in wide.__dict__ and "_half_tables" not in narrow.__dict__
 

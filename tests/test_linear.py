@@ -118,14 +118,14 @@ def test_rs_decode_within_radius():
     codec = RSCodec(PrimeField(11), n_rs=7, k_rs=3)
     msg = [5, 0, 9]
     clean = rs_encode(codec, msg)
-    assert rs_decode(codec, clean) == msg
+    assert rs_decode(codec, [clean]) == [msg]
     rng = random.Random(3)
     for _ in range(400):
         m = [rng.randrange(11) for _ in range(3)]
         word = rs_encode(codec, m)
         for pos in rng.sample(range(7), rng.randint(0, 2)):
             word[pos] = (word[pos] + rng.randint(1, 10)) % 11
-        assert rs_decode(codec, word) == m
+        assert rs_decode(codec, [word]) == [m]
 
 
 # -- test-only oracles: nearest codewords by brute force ----------------------
@@ -187,7 +187,7 @@ def test_rs_decode_single_error_small_code():
         for delta in range(1, 11):
             corrupted = list(word)
             corrupted[pos] = (corrupted[pos] + delta) % 11
-            assert rs_decode(codec, corrupted) == msg
+            assert rs_decode(codec, [corrupted]) == [msg]
             assert rs_decode_bruteforce(codec, corrupted) == msg
 
 
@@ -200,7 +200,7 @@ def test_rs_decode_agrees_with_bruteforce():
             word = rs_encode(codec, msg)
             for pos in rng.sample(range(n), codec.radius):
                 word[pos] = (word[pos] + rng.randint(1, p - 1)) % p
-            assert rs_decode(codec, word) == rs_decode_bruteforce(codec, word) == msg
+            assert rs_decode(codec, [word]) == [rs_decode_bruteforce(codec, word)] == [msg]
 
 
 # -- Berlekamp-Welch, the decoder rs_decode replaced, kept as its oracle ----
@@ -318,11 +318,17 @@ def berlekamp_welch_decode(codec, received):
 
 
 def outcome(decode, *args):
-    """What a decoder returns, or the type of the decoding error it raises."""
+    """What a decoder returns, or the type of the decoding error it raises or gives."""
     try:
-        return decode(*args)
+        result = decode(*args)
     except (AmbiguousDecoding, DecodingFailure) as exc:
         return type(exc)
+    return type(result) if isinstance(result, (AmbiguousDecoding, DecodingFailure)) else result
+
+
+def rs_decode_one(codec: RSCodec, word: Sequence[int]):
+    """rs_decode on the batch of one word: that word's outcome."""
+    return rs_decode(codec, [word])[0]
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -364,7 +370,7 @@ def _codec(p, n, k):
 @example(case=(_codec(5, 5, 1), [0, 0, 1, 2, 3]))     # the same with n - k even
 def test_rs_decode_matches_berlekamp_welch(case):
     codec, word = case
-    assert outcome(rs_decode, codec, word) == outcome(berlekamp_welch_decode, codec, word)
+    assert outcome(rs_decode_one, codec, word) == outcome(berlekamp_welch_decode, codec, word)
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,7 +381,7 @@ def test_rs_decode_matches_berlekamp_welch(case):
 def test_rs_decode_matches_bruteforce(case):
     codec, word = case
     assume(codec.field.p ** codec.k_rs <= 200_000)
-    got = outcome(rs_decode, codec, word)
+    got = outcome(rs_decode_one, codec, word)
     assert got == outcome(berlekamp_welch_decode, codec, word)
     nearest = outcome(rs_decode_bruteforce, codec, word)
     if got is DecodingFailure:
@@ -394,12 +400,10 @@ def test_rs_decode_beyond_radius_flags_or_misdecodes():
     other = rs_encode(codec, [4, 4])
     word = rs_encode(codec, [1, 9])
     hybrid = other[:3] + word[3:]  # 3 = radius + 1 positions from another codeword
-    try:
-        got = rs_decode(codec, hybrid)
+    [got] = rs_decode(codec, [hybrid])
+    if not isinstance(got, DecodingFailure):
         cw = rs_encode(codec, got)
         assert sum(1 for a, b in zip(cw, hybrid) if a != b) <= codec.radius
-    except DecodingFailure:
-        pass
 
 
 def test_binary_code_basics():
@@ -479,9 +483,9 @@ def test_integer_lift_repetition_example():
     code = repetition_code(5)
     y = [3, 3, 3, 3, 3]
     y[1] += 7
-    assert integer_lift_decode(code, y, 3) == (3,)
-    assert integer_lift_decode(code, [0] * 5, 3) == (0,)
-    assert integer_lift_decode(code, [2] * 5, 2) == (2,)
+    assert integer_lift_decode(code, [y], 3).tolist() == [[3]]
+    assert integer_lift_decode(code, [[0] * 5], 3).tolist() == [[0]]
+    assert integer_lift_decode(code, [[2] * 5], 2).tolist() == [[2]]
 
 
 def test_integer_lift_binary_case_is_codeword_decoding():
@@ -491,7 +495,7 @@ def test_integer_lift_binary_case_is_codeword_decoding():
         w = tuple(rng.randint(0, 1) for _ in range(code.K))
         y = [sum(code.generator[j][i] * w[j] for j in range(code.K))
              for i in range(code.N)]
-        assert integer_lift_decode(code, y, 1) == w
+        assert integer_lift_decode(code, [y], 1).tolist() == [list(w)]
 
 
 def lift_bruteforce(code, y, w_max):
@@ -537,8 +541,8 @@ def test_integer_lift_exhaustive_small_grid():
         for pos in support:
             y[pos] += values[counter % 6]
             counter += 1
-        got = integer_lift_decode(code, y, 7)
-        assert got == w, (w, support, got)
+        got = integer_lift_decode(code, [y], 7).tolist()
+        assert got == [list(w)], (w, support, got)
         if index % 64 == 0:
             oracle, tie = lift_bruteforce(code, y, 7)
             assert not tie and oracle == w
@@ -555,7 +559,8 @@ def test_memoised_lift_matches_a_fresh_one(data):
                                         max_size=n_bits), max_size=30))
     for y in words + words:
         fresh = BinaryLinearCode(generator=code.generator, design_distance=1)
-        assert integer_lift_decode(code, y, w_max) == integer_lift_decode(fresh, y, w_max)
+        assert integer_lift_decode(code, [y], w_max).tolist() == \
+            integer_lift_decode(fresh, [y], w_max).tolist()
     # every bit pattern, ties included, in a drawn order, after the lifts above
     for target in data.draw(st.permutations(range(1 << n_bits))):
         fresh = BinaryLinearCode(generator=code.generator, design_distance=1)
@@ -569,6 +574,6 @@ def test_memoised_lift_matches_a_fresh_one(data):
 def test_integer_lift_validation():
     code = repetition_code(3)
     with pytest.raises(ValueError):
-        integer_lift_decode(code, [1, 2], 3)
+        integer_lift_decode(code, [[1, 2]], 3)
     with pytest.raises(ValueError):
-        integer_lift_decode(code, [1, 2, 3], -1)
+        integer_lift_decode(code, [[1, 2, 3]], -1)
