@@ -176,9 +176,12 @@ def cmd_pascal(args: argparse.Namespace) -> int:
             stream.write("q,n,k,coefficient\n")
             for q in q_values:
                 for n in range(nmax + 1):
+                    # A row is a palindrome: its first half, in decimal, mirrored.
+                    row = pascal.row(q, n)
+                    digits = list(map(str, row[:(len(row) + 1) // 2]))
+                    digits.extend(reversed(digits[:len(row) // 2]))
                     prefix = f"{q},{n},"
-                    stream.write("".join([f"{prefix}{k},{c}\n"
-                                          for k, c in enumerate(pascal.row(q, n))]))
+                    stream.write("".join([f"{prefix}{k},{c}\n" for k, c in enumerate(digits)]))
         return EXIT_OK
     failures = checks = 0
     for q in q_values:
@@ -283,7 +286,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             envelope["d_min"] = None
     _write_output(core.dumps_canonical(envelope), args.out)
     print(f"{args.method}: wrote {args.out} "
-          f"(k={matrix.k}, n={matrix.n}, q={matrix.q}, d_min={envelope['d_min']})")
+          f"(k={matrix.k}, n={matrix.n}, q={matrix.q}, d_min={json.dumps(envelope['d_min'])})")
     return EXIT_OK
 
 

@@ -17,10 +17,11 @@ constants, with a relative guard band before a violation is declared.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NoCentralCoefficient, SigmacError
 
@@ -28,6 +29,7 @@ from .errors import NoCentralCoefficient, SigmacError
 # brackets below leave no room for a false alarm from rounding; the band
 # keeps each verdict what it was when the bounds were decided in floating point.
 GUARD_BAND = 1e-9
+_GUARD_NUM, _GUARD_DEN = GUARD_BAND.as_integer_ratio()
 
 # floor and ceil of 10^40 * pi and of 10^40 * e
 _PI = (31415926535897932384626433832795028841971, 31415926535897932384626433832795028841972)
@@ -42,15 +44,12 @@ def _at_most(lhs: int, pi_power: int, rhs: int, e_power: int = 0) -> bool:
     ends (pi high, e high), fails if it fails at their favourable ends (pi
     low, e low), and raises SigmacError if the two disagree.
     """
-    num, den = GUARD_BAND.as_integer_ratio()
-    right = rhs * (den + num) * 10 ** (40 * pi_power)
-
-    def holds(p: int, e: int) -> bool:
-        return lhs * p ** pi_power * (e - 10 ** 40) ** e_power * den <= right * e ** e_power
-
-    if holds(_PI[1], _E[1]):
+    lhs *= _GUARD_DEN
+    right = rhs * (_GUARD_DEN + _GUARD_NUM) * 10 ** (40 * pi_power)
+    (pi_low, pi_high), (e_low, e_high) = _PI, _E
+    if lhs * pi_high ** pi_power * (e_high - 10 ** 40) ** e_power <= right * e_high ** e_power:
         return True
-    if not holds(_PI[0], _E[0]):
+    if lhs * pi_low ** pi_power * (e_low - 10 ** 40) ** e_power > right * e_low ** e_power:
         return False
     raise SigmacError("an analytic bound lies within the 40-digit brackets of pi and e")
 
@@ -69,17 +68,16 @@ def _check_row(q: int, n: int) -> None:
 
 
 def _next_row(prev: list[int], q: int) -> list[int]:
-    # Sliding window over the q parents of each entry:
-    # new[k] = new[k-1] + prev[k] - prev[k-q].
+    # Sliding window over the q parents of each entry,
+    # new[k] = new[k-1] + prev[k] - prev[k-q], run over the first half only:
+    # the row is a palindrome, so the second half holds the same int objects
+    # in reverse order.
     size = len(prev) + q - 1
-    new = [0] * size
-    window = 0
-    for k in range(size):
-        window += prev[k] if k < len(prev) else 0
-        if k - q >= 0 and k - q < len(prev):
-            window -= prev[k - q]
-        new[k] = window
-    return new
+    half = (size + 1) // 2
+    entering = prev[:half] + [0] * (half - len(prev))
+    leaving = itertools.chain(itertools.repeat(0, q), prev)
+    first = list(itertools.accumulate(map(operator.sub, entering, leaving)))
+    return first + first[:size - half][::-1]
 
 
 def _stored_row(q: int, n: int) -> list[int]:
@@ -138,8 +136,7 @@ def central_coefficient(q: int, n: int) -> int:
     return coefficient(q, width // 2, n)
 
 
-@dataclass(frozen=True)
-class ConvolutionCheck:
+class ConvolutionCheck(NamedTuple):
     holds: bool
     lhs: int
     rhs: int
@@ -155,13 +152,12 @@ def check_convolution_identity(q: int, n: int, j: int) -> ConvolutionCheck:
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    lhs = coefficient(q, (n - j) * (q - 1), 2 * n)
+    lhs = _stored_row(q, 2 * n)[(n - j) * (q - 1)]
     rhs = _row_product(q, n - j, n + j)
     return ConvolutionCheck(lhs == rhs, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class DominanceCheck:
+class DominanceCheck(NamedTuple):
     holds: bool
     equal: bool
     lhs: int
@@ -208,16 +204,19 @@ def check_multinomial_bound(counts: list[int]) -> bool:
     parts = [a for a in counts if a != 0]
     if not parts:
         raise ValueError("need at least one positive part")
+    if any(a < 0 for a in parts):
+        raise ValueError("multinomial parts must be nonnegative")
     m = len(parts)
     total = sum(parts)
-    coef = multinomial(parts)
-    # bound  <=>  coef^2 * 2^(m-1) * prod a_i^(2a_i+1) * pi^(m-1) <= A^(2A+1)
-    lhs = coef * coef * 2 ** (m - 1) * math.prod(a ** (2 * a + 1) for a in parts)
+    # bound  <=>  multinomial^2 * 2^(m-1) * prod a_i^(2a_i+1) * pi^(m-1) <= A^(2A+1),
+    # with multinomial^2 = A!^2 / (prod a_i!)^2, a whole number
+    factorials = math.prod(map(math.factorial, parts))
+    lhs = (math.factorial(total) ** 2 << (m - 1)) \
+        * math.prod(a ** (2 * a + 1) for a in parts) // (factorials * factorials)
     return _at_most(lhs, m - 1, total ** (2 * total + 1))
 
 
-@dataclass(frozen=True)
-class CentralBoundsCheck:
+class CentralBoundsCheck(NamedTuple):
     power_bound: bool   # central <= q^(n-1)
     sqrt_bound: bool    # central <= q^(n+1) / sqrt(n) * c_q
     central: int

@@ -210,6 +210,18 @@ def test_construct_rs_augment_and_simulate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_construct_prints_d_min_as_the_artifact_writes_it(tmp_path, capsys):
+    artifact = tmp_path / "rs.json"
+    # n=5 is above --limit-z 2, so the walk is not run and d_min is null
+    assert run(["construct", "--method", "rs-augment", "--n", "5", "--t", "1",
+                "--limit-z", "2", "--out", str(artifact)]) == 0
+    assert json.loads(artifact.read_text())["d_min"] is None
+    assert capsys.readouterr() == (
+        f"rs-augment: wrote {artifact} (k=11, n=5, q=2, d_min=null)\n", "")
+    assert run(["construct", "--method", "trivial", "--n", "3", "--out", str(artifact)]) == 0
+    assert capsys.readouterr() == (f"trivial: wrote {artifact} (k=3, n=3, q=2, d_min=1)\n", "")
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """Matrices given to the 3^n verifier, at every place it is bound."""

@@ -225,6 +225,56 @@ def mpmath_central_sqrt_bound(q: int, n: int) -> bool:
         return bool(lhs <= rhs * (1 + pascal.GUARD_BAND))
 
 
+def reference_multinomial_bound(counts: list[int]) -> bool:
+    """check_multinomial_bound as written before its one-pass form: via multinomial()."""
+    parts = [a for a in counts if a != 0]
+    if not parts:
+        raise ValueError("need at least one positive part")
+    m = len(parts)
+    total = sum(parts)
+    coef = pascal.multinomial(parts)
+    lhs = coef * coef * 2 ** (m - 1)
+    for a in parts:
+        lhs *= a ** (2 * a + 1)
+    return pascal._at_most(lhs, m - 1, total ** (2 * total + 1))
+
+
+def test_one_pass_multinomial_bound_matches_the_reference(monkeypatch):
+    # The bound holds for every composition, so a verdict alone would not
+    # tell a wrong lhs apart: the integers each check hands to _at_most are
+    # compared too.  The reference strips zeros and multiplies, so what it
+    # decides depends only on the multiset of nonzero parts: it runs once
+    # per multiset, and the one-pass check on every composition.
+    decided = [None]  # the last call's arguments and verdict
+    at_most = pascal._at_most
+
+    def recording_at_most(*args):
+        decided[0] = (args, at_most(*args))
+        return decided[0][1]
+
+    monkeypatch.setattr(pascal, "_at_most", recording_at_most)
+    reference: dict[tuple[int, ...], tuple] = {}
+    compositions = 0
+    for length in range(1, 6):
+        for parts in product(range(13), repeat=length):
+            compositions += 1
+            key = tuple(sorted(a for a in parts if a))
+            if not key:
+                for check in (pascal.check_multinomial_bound, reference_multinomial_bound):
+                    with pytest.raises(ValueError):
+                        check(list(parts))
+                continue
+            if key not in reference:
+                reference_multinomial_bound(list(key))
+                reference[key] = decided[0]
+            assert pascal.check_multinomial_bound(list(parts)) == reference[key][1], parts
+            assert decided[0] == reference[key], parts
+    assert (compositions, len(reference)) == (sum(13 ** n for n in range(1, 6)), 6187)
+    for bad in ([-1], [0, 2, -3]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pascal.check_multinomial_bound(bad)
+
+
 def test_brackets_strictly_enclose_pi_and_e():
     with mpmath.workdps(60):
         for (low, high), constant in ((pascal._PI, mpmath.pi), (pascal._E, mpmath.e)):
@@ -325,6 +375,17 @@ def test_row_store_is_shared_and_never_mutated():
         pascal.check_dominance(1, 2, 1)
 
 
+def test_stored_rows_keep_each_distinct_value_once():
+    for q in range(2, 9):
+        for n in range(41):
+            stored = pascal._stored_row(q, n)
+            size = len(stored)
+            assert stored == expand_polynomial_power(q, n), (q, n)
+            # the two halves of the palindrome share their int objects
+            assert all(stored[k] is stored[size - 1 - k] for k in range(size)), (q, n)
+            assert len({id(c) for c in stored}) <= (size + 1) // 2, (q, n)
+
+
 CALLS = {
     "convolution": (pascal.check_convolution_identity, reference_convolution),
     "dominance": (pascal.check_dominance, reference_dominance),
@@ -362,3 +423,29 @@ def test_a_repeated_sweep_computes_every_row_product_again(capsys):
     assert products == [per_sweep, per_sweep]
     assert pascal._row_product.cache_info().currsize <= 2
     capsys.readouterr()
+
+
+def test_a_corrupted_stored_entry_fails_the_sweep(capsys, monkeypatch):
+    # Rows 0..6 of q=3 hold every row a sweep to nmax 3 reads.  Raising
+    # C(3; 1, 3) from 3 to 103, one side of its mirrored pair with k=5,
+    # breaks the cross sum of rows 1 and 3 (110 against C(3; 2, 4) = 10,
+    # and above row 2's square sum 19) and the square sum of row 3
+    # (10741 against C(3; 6, 6) = 141); no other (q, n, j) reads that entry.
+    rows = [list(r) for r in (pascal._stored_row(3, n) for n in range(7))]
+    rows[3][1] = 103
+    pascal._row_product.cache_clear()
+    monkeypatch.setitem(pascal._rows, 3, rows)
+    try:
+        code = cli.main(["pascal", "--identity-sweep", "--qmax", "3", "--nmax", "3"])
+    finally:
+        pascal._row_product.cache_clear()  # no product of the corrupted rows outlives the test
+    assert code == 1
+    assert capsys.readouterr() == (
+        "identity sweep: 824 checks, 3 failures\n",
+        "FAIL convolution q=3 n=2 j=1: 10 != 110\n"
+        "FAIL dominance q=3 n=2 j=1\n"
+        "FAIL convolution q=3 n=3 j=0: 141 != 10741\n")
+    monkeypatch.undo()
+    assert pascal._stored_row(3, 3) == TERNARY_ROWS[3]
+    assert cli.main(["pascal", "--identity-sweep", "--qmax", "3", "--nmax", "3"]) == 0
+    assert capsys.readouterr().out == "identity sweep: 824 checks, 0 failures\n"
