@@ -13,6 +13,7 @@ from .core import (
     VerificationReport,
     adversarial_witness,
     apply_errors,
+    at_most,
     decode_min_distance,
     encode,
     min_distinguishing_weight,
@@ -35,6 +36,7 @@ __all__ = [
     "VerificationReport",
     "adversarial_witness",
     "apply_errors",
+    "at_most",
     "decode_min_distance",
     "encode",
     "min_distinguishing_weight",

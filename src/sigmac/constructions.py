@@ -40,6 +40,7 @@ from .core import (
     SignatureMatrix,
     _check_u_limit,
     _integer_batch,
+    at_most,
     decode_min_distance,
     derive_seed,
     dumps_canonical,
@@ -307,10 +308,13 @@ def construct_random(n: int, q: int, t: int, seed: int,
                      limit: int | None = None) -> RandomConstruction:
     """Sample uniform k x n matrices until one verifiably tolerates t errors.
 
-    Acceptance is by the exact verifier (d_min >= 2t + 1), never by formula
-    trust.  After each fully failed batch of RANDOM_BATCH draws the length
-    grows by 5% (at least one row).  Deterministic: attempt i uses the child
-    seed (seed, i).
+    Acceptance is exact, never by formula trust: a draw is rejected as soon
+    as core.at_most finds a nonzero z with wt(M z) <= 2t, and the one draw
+    it finds none for (d_min >= 2t + 1) is walked by
+    min_distinguishing_weight once, for the d_min it records.  After each
+    fully failed batch of RANDOM_BATCH draws the length grows by 5% (at
+    least one row), when another draw follows.  Deterministic: attempt i
+    uses the child seed (seed, i).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -324,12 +328,11 @@ def construct_random(n: int, q: int, t: int, seed: int,
         rng = random.Random(derive_seed(seed, "random-matrix", attempt))
         rows = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(k))
         matrix = SignatureMatrix(q=q, rows=rows)
-        report = min_distinguishing_weight(matrix, limit)
-        if report.d_min >= 2 * t + 1:
+        if at_most(matrix, 2 * t, limit) is None:
             return RandomConstruction(matrix=matrix, t=t, seed=seed, attempts=attempt,
-                                      k=k, d_min=report.d_min, planned_k=planned,
-                                      escalations=escalations)
-        if attempt % RANDOM_BATCH == 0:
+                                      k=k, d_min=min_distinguishing_weight(matrix, limit).d_min,
+                                      planned_k=planned, escalations=escalations)
+        if attempt % RANDOM_BATCH == 0 and attempt < max_attempts:
             k = max(k + 1, math.ceil(k * 1.05))
             escalations += 1
     raise ConstructionFailure(

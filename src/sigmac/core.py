@@ -154,6 +154,16 @@ def _column_support(matrix: SignatureMatrix) -> list[list[tuple[int, int]]]:
             for j in range(matrix.n)]
 
 
+def _check_z_limit(n: int, limit: int | None) -> None:
+    """Raise CapacityError when a 3^n search over n columns exceeds `limit`.
+
+    A `limit` of None stands for DEFAULT_Z_LIMIT, read at the call.
+    """
+    budget = DEFAULT_Z_LIMIT if limit is None else limit
+    if n > budget:
+        raise CapacityError(f"n={n} exceeds the 3^n enumeration limit ({budget})")
+
+
 def min_distinguishing_weight(matrix: SignatureMatrix,
                               limit: int | None = None) -> VerificationReport:
     """Exact d_min by walking all 3^n - 1 nonzero sign patterns.
@@ -164,9 +174,7 @@ def min_distinguishing_weight(matrix: SignatureMatrix,
     is found (no smaller value exists).
     """
     n, k = matrix.n, matrix.k
-    budget = DEFAULT_Z_LIMIT if limit is None else limit
-    if n > budget:
-        raise CapacityError(f"n={n} exceeds the 3^n enumeration limit ({budget})")
+    _check_z_limit(n, limit)
     support = _column_support(matrix)
     # Start at z = (-1,...,-1), i.e. all digits 0 with z_j = digit_j - 1.
     y = [-sum(r) for r in matrix.rows]
@@ -211,11 +219,96 @@ def min_distinguishing_weight(matrix: SignatureMatrix,
     return VerificationReport(d_min=best, witness_z=witness, z_count_checked=checked)
 
 
+def _sign_sums(columns):
+    """Row i holds M z for the i-th sign pattern z of `columns` (one column per row).
+
+    z_j is digit j of i in base 3, minus one, so the all-zero pattern is row
+    (3^h - 1) // 2 for h columns.
+    """
+    import numpy as np
+
+    sums = np.zeros((1, columns.shape[1]), dtype=columns.dtype)
+    for column in columns:
+        sums = np.concatenate((sums - column, sums, sums + column))
+    return sums
+
+
+def _sign_pattern(index: int, length: int) -> list[int]:
+    """The sign pattern at row `index` of _sign_sums over `length` columns."""
+    return [index // 3 ** j % 3 - 1 for j in range(length)]
+
+
+# Odd multipliers of at_most's join keys, one per row: a key is a linear
+# hash modulo 2^64, so a pattern pair that cancels on a group of rows always
+# has opposite keys there, and a pair whose keys merely coincide is caught
+# when its full weight is counted.
+_KEY_STEP = 0x9E3779B97F4A7C15
+
+
+def at_most(matrix: SignatureMatrix, w: int,
+            limit: int | None = None) -> Optional[tuple[int, ...]]:
+    """A nonzero z in {-1,0,1}^n with wt(M z) <= w, or None when none exists.
+
+    Exact: None means d_min > w, as the 3^n walk of min_distinguishing_weight
+    would find, at about 3^(n/2) table entries.  The k rows are split into
+    w + 1 groups; if wt(M z) <= w, then M z is zero on every row of some
+    group G (pigeonhole).  With the columns split at h = n // 2, z = (a, b)
+    and M z = M_A a + M_B b, so for each G the patterns a and b with
+    M_{G,A} a = -M_{G,B} b are found by a sorted join of the two half
+    tables, and only those pairs get their full weight counted, in blocks of
+    about DECODE_BLOCK row comparisons (Stern's row split joined with
+    Horowitz-Sahni meet in the middle).  Every nonzero z qualifies when
+    w >= k.  The same z comes back on every call with the same matrix and w.
+    """
+    if not isinstance(w, numbers.Integral) or w < 0:
+        raise ValueError(f"w must be an integer >= 0, got {w!r}")
+    n, k = matrix.n, matrix.k
+    _check_z_limit(n, limit)
+    if w >= k:
+        return (1,) + (0,) * (n - 1)
+    import numpy as np
+
+    # Entries of M z lie within n(q-1) in magnitude, as do their pair sums.
+    dtype = np.int64 if 2 * n * (matrix.q - 1) < 1 << 62 else object
+    columns = np.array(matrix.rows, dtype=dtype).T
+    h = n // 2
+    left, right = _sign_sums(columns[:h]), _sign_sums(columns[h:])
+    zero = ((3 ** h - 1) // 2, (3 ** (n - h) - 1) // 2)
+    left_mod, right_mod = (table.view(np.uint64) if dtype is np.int64
+                           else (table % (1 << 64)).astype(np.uint64) for table in (left, right))
+    multipliers = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_KEY_STEP) | np.uint64(1)
+    step = max(1, DECODE_BLOCK // k)
+    for group in np.array_split(np.arange(k), w + 1):
+        left_keys = left_mod[:, group] @ multipliers[group]
+        # M z is zero on G iff left[a, G] == -right[b, G], so a's key is -(b's key).
+        wanted = np.uint64(0) - right_mod[:, group] @ multipliers[group]
+        order = np.argsort(wanted, kind="stable")
+        wanted = wanted[order]
+        first = np.searchsorted(wanted, left_keys, "left")
+        counts = np.searchsorted(wanted, left_keys, "right") - first
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        # Pairs are numbered left pattern by left pattern; pair p is match
+        # p - (ends[a] - counts[a]) of its left pattern a.
+        for start in range(0, total, step):
+            pairs = np.arange(start, min(start + step, total))
+            a = np.searchsorted(ends, pairs, "right")
+            b = order[first[a] + pairs - (ends[a] - counts[a])]
+            sums = left[a]
+            sums += right[b]
+            light = (np.count_nonzero(sums, axis=1) <= w) & ((a != zero[0]) | (b != zero[1]))
+            hits = np.flatnonzero(light)
+            if hits.size:
+                i = hits[0]
+                return tuple(_sign_pattern(int(a[i]), h) + _sign_pattern(int(b[i]), n - h))
+    return None
+
+
 def tolerates(matrix: SignatureMatrix, t: int, limit: int | None = None) -> bool:
     """True iff M corrects any t adversarial output errors (d_min >= 2t+1)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return min_distinguishing_weight(matrix, limit).d_min >= 2 * t + 1
+    return at_most(matrix, 2 * t, limit) is None
 
 
 def _check_u_limit(n: int, limit: int | None) -> None:

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from random_reference import construct_random_reference
+from sigmac import cli
 from sigmac import constructions as cons
 from sigmac.bounds import ConstantT, LinearTau, achievable_random, max_correctable_fraction
 from sigmac.core import (
@@ -194,6 +196,61 @@ def test_construct_random_exhausts_and_escalates():
                               max_attempts=cons.RANDOM_BATCH + 5)
     assert info.value.attempts == cons.RANDOM_BATCH + 5
     assert "escalation" in str(info.value)
+
+
+@pytest.mark.parametrize("max_attempts, k, escalations", [(25, 6, 0), (100, 9, 3)])
+def test_construct_random_failure_names_the_last_length_drawn(max_attempts, k, escalations):
+    """k grows after a failed batch only when another draw follows."""
+    with pytest.raises(ConstructionFailure) as info:
+        cons.construct_random(6, 2, 3, 1, max_attempts=max_attempts, k_override=6)
+    assert str(info.value) == (f"no {k}x6 matrix with d_min >= 7 found in {max_attempts} "
+                               f"attempts ({escalations} length escalations from 6)")
+
+
+# (n, q, t, k, max_attempts), 44 seeds each: mostly first draws; the
+# calibrated length; frequent rejections; success after one or more
+# escalations; a first batch rejected without a join (2t >= k), then a
+# failure; a failure after escalating.
+PARITY_CASES = [(6, 3, 1, 10, 100), (8, 3, 1, 12, 100), (6, 3, 1, 7, 100),
+                (6, 2, 1, 8, 100), (5, 4, 2, 4, 40), (5, 2, 1, 5, 30)]
+
+
+@pytest.mark.parametrize("n, q, t, k, max_attempts", PARITY_CASES)
+def test_construct_random_matches_the_walk_only_reference(tmp_path, capsys,
+                                                          n, q, t, k, max_attempts):
+    out = tmp_path / "r.json"
+    for seed in range(44):
+        args = dict(max_attempts=max_attempts, k_override=k)
+        argv = ["construct", "--method", "random", "--q", str(q), "--n", str(n),
+                "--t", str(t), "--k", str(k), "--seed", str(seed),
+                "--max-attempts", str(max_attempts), "--out", str(out)]
+        try:
+            want = construct_random_reference(n, q, t, seed, **args)
+        except ConstructionFailure as failure:
+            with pytest.raises(ConstructionFailure) as got:
+                cons.construct_random(n, q, t, seed, **args)
+            assert (got.value.attempts, str(got.value)) == (failure.attempts, str(failure))
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"construction failed after {failure.attempts} attempts: {failure}\n")
+            continue
+        assert cons.construct_random(n, q, t, seed, **args) == want
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert out.read_text() == dumps_canonical({**want.to_json(), "seed": seed})
+
+
+def test_construct_random_walks_only_the_accepted_draw(monkeypatch):
+    walked = []
+
+    def walk(matrix, limit=None):
+        walked.append(matrix)
+        return min_distinguishing_weight(matrix, limit)
+
+    monkeypatch.setattr(cons, "min_distinguishing_weight", walk)
+    result = cons.construct_random(6, 2, 1, seed=3, k_override=8)
+    assert result.attempts > 1
+    assert walked == [result.matrix]
 
 
 def test_find_inner_matrix_exhaustive():

@@ -1,11 +1,17 @@
 """Channel model and verifier against brute-force pair enumeration."""
 
+import importlib
 import json
 import random
+import sys
+import tracemalloc
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmac import core
 from sigmac.core import (
@@ -14,6 +20,7 @@ from sigmac.core import (
     SignatureMatrix,
     adversarial_witness,
     apply_errors,
+    at_most,
     decode_min_distance,
     encode,
     min_distinguishing_weight,
@@ -152,6 +159,113 @@ def test_tolerates():
     assert not tolerates(identity(3), 1)
     with pytest.raises(ValueError):
         tolerates(identity(3), -1)
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    """benchmarks/oracles.py, imported read-only (no bytecode written there)."""
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("oracles")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved_path, saved_flag
+
+
+def weight(matrix: SignatureMatrix, z) -> int:
+    """wt(M z) in Python integers."""
+    return sum(1 for row in matrix.rows if sum(v * s for v, s in zip(row, z)))
+
+
+def check_threshold_answers(matrix: SignatureMatrix, d_min: int) -> None:
+    """at_most(w) for every w in 0..k+1 against a known d_min."""
+    for w in range(matrix.k + 2):
+        z = at_most(matrix, w)
+        assert (z is None) == (d_min > w), (w, d_min, z)
+        if z is not None:
+            assert len(z) == matrix.n and any(z) and set(z) <= {-1, 0, 1}
+            assert weight(matrix, z) <= w
+            assert at_most(matrix, w) == z
+
+
+@st.composite
+def small_matrices(draw):
+    # 2^62 makes 2 n (q - 1) reach 2^62 from n = 2, where at_most's tables
+    # hold Python integers.
+    q = draw(st.sampled_from([2, 3, 4, 2 ** 62]))
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return SignatureMatrix(q=q, rows=tuple(map(tuple, rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_at_most_matches_the_walk_and_the_oracle(oracles, matrix):
+    d_min = min_distinguishing_weight(matrix).d_min
+    if matrix.q <= 4:  # the oracle holds entries in int32
+        assert oracles.d_min(matrix.rows) == d_min
+    check_threshold_answers(matrix, d_min)
+
+
+@pytest.mark.parametrize("q, rows", [
+    (3, ((0,), (2,))),                    # n = 1
+    (2, ((0,),)),                         # n = 1, k = 1, zero column
+    (3, ((1, 2, 2, 1),)),                 # k = 1
+    (4, ((0, 0, 0), (0, 0, 0))),          # all zero: every z has weight 0
+    (2 ** 62, ((2 ** 62 - 1, 1, 0), (0, 2 ** 62 - 1, 2 ** 62 - 1))),
+])
+def test_at_most_edge_cases(q, rows):
+    matrix = SignatureMatrix(q=q, rows=rows)
+    check_threshold_answers(matrix, min_distinguishing_weight(matrix).d_min)
+
+
+def test_at_most_arguments():
+    matrix = identity(4)
+    # w >= k: any nonzero z qualifies
+    assert at_most(matrix, 4) == at_most(matrix, 9) == (1, 0, 0, 0)
+    for bad in (-1, 1.0, "2"):
+        with pytest.raises(ValueError):
+            at_most(matrix, bad)
+    # The walk's 3^n limit and text, checked before any work, even for w >= k
+    with pytest.raises(CapacityError) as walk:
+        min_distinguishing_weight(matrix, limit=3)
+    for w in (0, 9):
+        with pytest.raises(CapacityError) as threshold:
+            at_most(matrix, w, limit=3)
+        assert str(threshold.value) == str(walk.value)
+    assert at_most(matrix, 0, limit=4) is None
+
+
+# One block of at_most's join holds DECODE_BLOCK // k pairs, two k-column
+# int64 arrays of 8 MB each.  Joining all 3^12 pairs of the zero-row group
+# below at once would take 89 MB per array.
+PEAK_BOUND = 40 << 20
+
+
+def peak_bytes(call):
+    """call()'s result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_at_most_memory_is_bounded_by_blocks():
+    # 16 row groups of 1-2 rows, 45,000 to 630,000 collisions each; the
+    # witness proves d_min <= w, the walk's verdict
+    matrix = random_matrix(random.Random(1), 3, 14, 20)
+    z, peak = peak_bytes(lambda: at_most(matrix, 15))
+    assert peak < PEAK_BOUND
+    assert any(z) and weight(matrix, z) <= 15
+    # the first group's 7 rows are zero, so all 3^12 pairs collide on it
+    rows = ((0,) * 12,) * 7 + random_matrix(random.Random(4), 3, 12, 14).rows
+    matrix = SignatureMatrix(q=3, rows=rows)
+    z, peak = peak_bytes(lambda: at_most(matrix, 2))
+    assert peak < PEAK_BOUND
+    assert z is None and min_distinguishing_weight(matrix).d_min > 2
 
 
 def test_decode_identity():
