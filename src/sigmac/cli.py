@@ -2,9 +2,21 @@
 
 Exit codes follow the scriptable contract: 0 on success, 1 when a checked
 property fails (a construction or simulation found a real violation), 2 on
-usage errors.  All randomness flows from one explicit --seed through
-counter-based child seeds, never from the clock, so identical invocations
-produce byte-identical artifacts.
+usage errors.  The handlers raise every failure, and main alone turns it
+into its exit code and one stderr line:
+
+- a refused command, an argparse error, or a ValueError or OverflowError
+  from an input out of range: 2;
+- a CapacityError: 2, with the --limit-z or --limit-u that would lift it;
+- a ConstructionFailure: 1, "construction failed after N attempts: ...";
+- any other SigmacError: 1;
+- an --out that cannot be written: 2.
+
+No input ends in a traceback.  Checks that run and fail are not refusals:
+each failed identity check or simulate round prints its own line, and the
+command exits 1.  All randomness flows from one explicit --seed
+through counter-based child seeds, never from the clock, so identical
+invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -37,6 +49,17 @@ EXIT_USAGE = 2
 SIMULATE_CHUNK = 256
 
 
+class _Refusal(Exception):
+    """A refused command; its message is the whole stderr line, and it exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are refusals of one line, without the usage."""
+
+    def error(self, message):
+        raise _Refusal(f"{self.prog}: error: {message}")
+
+
 @contextlib.contextmanager
 def _output(out: Optional[str]):
     """The --out file, opened for writing, or standard output."""
@@ -64,7 +87,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmac",
         description="Signature codes for the noisy integer-adder multiple access channel",
     )
@@ -142,34 +165,26 @@ def _main_parser() -> argparse.ArgumentParser:
 
 def cmd_pascal(args: argparse.Namespace) -> int:
     if args.row + args.identity_sweep + args.table != 1:
-        print("pascal: choose exactly one of --row, --identity-sweep, --table",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal("pascal: choose exactly one of --row, --identity-sweep, --table")
     if args.row:
         if args.qmax is not None or args.nmax is not None:
-            print("pascal: --row takes --q and --n, not --qmax or --nmax", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal("pascal: --row takes --q and --n, not --qmax or --nmax")
         if args.q is None or args.n is None or args.q < 2 or args.n < 0:
-            print("pascal --row needs --q >= 2 and --n >= 0", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal("pascal --row needs --q >= 2 and --n >= 0")
         _write_output(" ".join(map(str, pascal.row(args.q, args.n))) + "\n", args.out)
         return EXIT_OK
     mode = "--table" if args.table else "--identity-sweep"
     if args.n is not None:
-        print(f"pascal: {mode} takes --nmax, not --n", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(f"pascal: {mode} takes --nmax, not --n")
     if args.identity_sweep and args.q is not None:
-        print("pascal: --identity-sweep takes --qmax, not --q", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal("pascal: --identity-sweep takes --qmax, not --q")
     qmax = 4 if args.qmax is None else args.qmax
     nmax = 8 if args.nmax is None else args.nmax
     q_values = [args.q] if args.q is not None else range(2, qmax + 1)
     if not q_values or nmax < 0:
-        print("pascal: need --qmax >= 2 and --nmax >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal("pascal: need --qmax >= 2 and --nmax >= 0")
     if min(q_values) < 2:
-        print("pascal: q must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal("pascal: q must be >= 2")
     if args.table:
         # One row's lines at a time: the whole table runs to megabytes.
         with _output(args.out) as stream:
@@ -238,52 +253,40 @@ def _ignored_construct_option(args: argparse.Namespace) -> Optional[str]:
 def cmd_construct(args: argparse.Namespace) -> int:
     ignored = _ignored_construct_option(args)
     if ignored is not None:
-        print(f"construct: {ignored}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(f"construct: {ignored}")
     q = 2 if args.q is None else args.q
     t = 1 if args.t is None else args.t
-    try:
-        if args.method != "kronecker" and args.n is None:
-            raise ValueError("--n is required")
-        if args.method == "trivial":
-            code = cons.PlainCode(cons.construct_trivial(args.n), 0, {"kind": "trivial"})
-        elif args.method == "rs-augment":
-            code = cons.rs_augment(cons.construct_trivial(args.n), t)
-        elif args.method == "random":
-            k = args.k
-            if args.tau is not None:
-                # Planned even under --k: planning refuses a tau at the threshold.
-                planned = cons.plan_random_length(args.n, q, bounds_mod.LinearTau(args.tau))
-                k = planned if k is None else k
-                t = math.floor(args.tau * k)
-            code = cons.construct_random(
-                args.n, q, t, args.seed,
-                max_attempts=100 if args.max_attempts is None else args.max_attempts,
-                k_override=k, limit=args.limit_z)
-        else:  # kronecker
-            if args.epsilon is None or not (args.p and args.s and args.r):
-                raise ValueError("kronecker needs --epsilon, --p, --s, --r")
-            code = cons.build_kronecker(q, args.epsilon, args.p, args.s,
-                                        args.r, seed=args.seed,
-                                        outer_kind=args.outer or "search",
-                                        t_inner=args.inner_t, c1=args.c1)
-    except ConstructionFailure as exc:
-        print(f"construction failed after {exc.attempts} attempts: {exc}",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except CapacityError as exc:
-        print(f"construct: {exc}; raise --limit-z to override", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, SigmacError) as exc:
-        print(f"construct: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.method != "kronecker" and args.n is None:
+        raise ValueError("--n is required")
+    if args.method == "trivial":
+        code = cons.PlainCode(cons.construct_trivial(args.n), 0, {"kind": "trivial"})
+    elif args.method == "rs-augment":
+        code = cons.rs_augment(cons.construct_trivial(args.n), t)
+    elif args.method == "random":
+        k = args.k
+        if args.tau is not None:
+            # Planned even under --k: planning refuses a tau at the threshold.
+            planned = cons.plan_random_length(args.n, q, bounds_mod.LinearTau(args.tau))
+            k = planned if k is None else k
+            t = math.floor(args.tau * k)
+        code = cons.construct_random(
+            args.n, q, t, args.seed,
+            max_attempts=100 if args.max_attempts is None else args.max_attempts,
+            k_override=k, limit=args.limit_z)
+    else:  # kronecker
+        if args.epsilon is None or not (args.p and args.s and args.r):
+            raise ValueError("kronecker needs --epsilon, --p, --s, --r")
+        code = cons.build_kronecker(q, args.epsilon, args.p, args.s,
+                                    args.r, seed=args.seed,
+                                    outer_kind=args.outer or "search",
+                                    t_inner=args.inner_t, c1=args.c1)
     matrix, envelope = code.matrix, {**code.to_json(), "seed": args.seed}
-    # A random envelope carries d_min from the walk that accepted its matrix.
+    # A random envelope carries d_min from the walk that accepted its matrix;
+    # any other is walked here, and d_min is null when --limit-z is too low.
     if "d_min" not in envelope:
-        try:
+        envelope["d_min"] = None
+        with contextlib.suppress(CapacityError):
             envelope["d_min"] = core.min_distinguishing_weight(matrix, args.limit_z).d_min
-        except CapacityError:
-            envelope["d_min"] = None
     _write_output(core.dumps_canonical(envelope), args.out)
     print(f"{args.method}: wrote {args.out} "
           f"(k={matrix.k}, n={matrix.n}, q={matrix.q}, d_min={json.dumps(envelope['d_min'])})")
@@ -294,30 +297,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         code = cons.load_artifact(json.loads(Path(args.artifact).read_text()))
     except (OSError, ValueError, CapacityError) as exc:
-        print(f"simulate: cannot load artifact: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(f"simulate: cannot load artifact: {exc}") from exc
     matrix = code.matrix
     t = code.design_t if args.t is None else args.t
-    try:
-        code.decode_batch([], t, args.limit_u)  # checks the 2^n budget before any round
-    except CapacityError as exc:
-        print(f"simulate: {exc}; raise --limit-u to override", file=sys.stderr)
-        return EXIT_USAGE
+    code.decode_batch([], t, args.limit_u)  # checks the 2^n budget before any round
     if not 0 <= t <= matrix.k or args.rounds < 0:
-        print(f"simulate: need 0 <= t <= k = {matrix.k} and --rounds >= 0",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(f"simulate: need 0 <= t <= k = {matrix.k} and --rounds >= 0")
     witness = None
     if args.error_mode == core.WORST_CASE_ERRORS:
-        try:
-            witness = core.adversarial_witness(matrix, t, args.limit_z)
-        except CapacityError as exc:
-            print(f"simulate: {exc}; raise --limit-z to override", file=sys.stderr)
-            return EXIT_USAGE
+        witness = core.adversarial_witness(matrix, t, args.limit_z)
         if witness is not None and args.t is None:
-            print(f"simulate: the matrix does not tolerate the artifact's design_t = {t}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal(f"simulate: the matrix does not tolerate the artifact's design_t = {t}")
     import numpy as np
 
     decode_batch = functools.partial(code.decode_batch, t=t, limit_u=args.limit_u)
@@ -347,21 +337,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        n_values = _parse_int_list(args.n)
-        q_values = _parse_int_list(args.q)
-        if not n_values or not q_values:
-            raise ValueError("empty range")
-        if any(n < 2 for n in n_values) or any(q < 2 for q in q_values):
-            raise ValueError("need n >= 2 and q >= 2")
-        if args.tau is not None:
-            mode: bounds_mod.TMode = bounds_mod.LinearTau(args.tau)
-        else:
-            mode = bounds_mod.ConstantT(args.t if args.t is not None else 0)
-        reports = bounds_mod.bound_table(n_values, q_values, mode)
-    except ValueError as exc:
-        print(f"bounds: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    n_values = _parse_int_list(args.n)
+    q_values = _parse_int_list(args.q)
+    if not n_values or not q_values:
+        raise ValueError("empty range")
+    if any(n < 2 for n in n_values) or any(q < 2 for q in q_values):
+        raise ValueError("need n >= 2 and q >= 2")
+    if args.tau is not None:
+        mode: bounds_mod.TMode = bounds_mod.LinearTau(args.tau)
+    else:
+        mode = bounds_mod.ConstantT(args.t if args.t is not None else 0)
+    reports = bounds_mod.bound_table(n_values, q_values, mode)
     if args.format == "csv":
         _write_output(bounds_mod.bound_table_csv(reports), args.out)
     elif args.format == "json":
@@ -386,28 +372,36 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; the only place a failure becomes an exit code and a line."""
+    subcommand = None
     try:
         args = _main_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    handler = {
-        "pascal": cmd_pascal,
-        "construct": cmd_construct,
-        "simulate": cmd_simulate,
-        "bounds": cmd_bounds,
-    }[args.subcommand]
-    try:
-        return handler(args)
+        subcommand = args.subcommand
+        return {
+            "pascal": cmd_pascal,
+            "construct": cmd_construct,
+            "simulate": cmd_simulate,
+            "bounds": cmd_bounds,
+        }[subcommand](args)
+    except SystemExit as exc:  # --help, printed to stdout
+        return exc.code
+    except _Refusal as exc:
+        code, line = EXIT_USAGE, str(exc)
+    except CapacityError as exc:
+        code, line = EXIT_USAGE, f"{subcommand}: {exc}; raise --limit-{exc.budget} to override"
+    except ConstructionFailure as exc:
+        code, line = EXIT_CHECK_FAILED, f"construction failed after {exc.attempts} attempts: {exc}"
+    except (ValueError, OverflowError) as exc:  # an input out of range
+        code, line = EXIT_USAGE, f"{subcommand}: {exc}"
     except SigmacError as exc:
-        print(f"{args.subcommand}: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        code, line = EXIT_CHECK_FAILED, f"{subcommand}: {exc}"
     except OSError as exc:
         # Inputs are read and checked inside the handlers, so what reaches
         # here is a failed write of the output.
         target = exc.filename if exc.filename is not None else "output"
-        print(f"{args.subcommand}: cannot write {target}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        code, line = EXIT_USAGE, f"{subcommand}: cannot write {target}: {exc.strerror or exc}"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

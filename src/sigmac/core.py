@@ -161,7 +161,7 @@ def _check_z_limit(n: int, limit: int | None) -> None:
     """
     budget = DEFAULT_Z_LIMIT if limit is None else limit
     if n > budget:
-        raise CapacityError(f"n={n} exceeds the 3^n enumeration limit ({budget})")
+        raise CapacityError(f"n={n} exceeds the 3^n enumeration limit ({budget})", "z")
 
 
 def min_distinguishing_weight(matrix: SignatureMatrix,
@@ -318,7 +318,7 @@ def _check_u_limit(n: int, limit: int | None) -> None:
     """
     budget = DEFAULT_U_LIMIT if limit is None else limit
     if n > budget:
-        raise CapacityError(f"n={n} exceeds the 2^n decoding limit ({budget})")
+        raise CapacityError(f"n={n} exceeds the 2^n decoding limit ({budget})", "u")
 
 
 def _received_symbol(value, cap: int) -> int:

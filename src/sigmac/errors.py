@@ -10,7 +10,17 @@ class NoCentralCoefficient(SigmacError, ValueError):
 
 
 class CapacityError(SigmacError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An exhaustive enumeration would exceed the configured budget.
+
+    `budget` names that budget, as the limit checks in core record it: "z"
+    for the 3^n walk over sign patterns z, "u" for the 2^n search over
+    activity vectors u.  The CLI's advice (--limit-z or --limit-u) is read
+    from it.
+    """
+
+    def __init__(self, message: str, budget: str | None = None):
+        super().__init__(message)
+        self.budget = budget
 
 
 class AmbiguousDecoding(SigmacError):

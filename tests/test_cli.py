@@ -679,3 +679,127 @@ def test_bounds_malformed_range(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture
+def refusal_dir(tmp_path):
+    """A directory holding triv.json, the trivial n=3 artifact, and matrix.json,
+    the bare matrix [1 1], which tolerates no error."""
+    assert run(["construct", *TRIVIAL, "--out", str(tmp_path / "triv.json")]) == 0
+    (tmp_path / "matrix.json").write_text(json.dumps(
+        {"kind": "matrix", **SignatureMatrix(q=2, rows=((1, 1),)).to_json()}))
+    return tmp_path
+
+
+# Each refusal of the CLI: its argv ("{tmp}" stands for refusal_dir), exit
+# code, whole stderr line, and the (object, name, value) attributes it patches.
+REFUSALS = {
+    "pascal-no-mode": (["pascal", "--q", "3", "--n", "2"], 2,
+                       "pascal: choose exactly one of --row, --identity-sweep, --table", ()),
+    "pascal-row-grid": (["pascal", "--row", "--q", "3", "--n", "2", "--qmax", "5"], 2,
+                        "pascal: --row takes --q and --n, not --qmax or --nmax", ()),
+    "pascal-row-range": (["pascal", "--row", "--q", "1", "--n", "2"], 2,
+                         "pascal --row needs --q >= 2 and --n >= 0", ()),
+    "pascal-grid-n": (["pascal", "--table", "--n", "5"], 2,
+                      "pascal: --table takes --nmax, not --n", ()),
+    "pascal-sweep-q": (["pascal", "--identity-sweep", "--q", "9"], 2,
+                       "pascal: --identity-sweep takes --qmax, not --q", ()),
+    "pascal-grid-range": (["pascal", "--table", "--qmax", "1"], 2,
+                          "pascal: need --qmax >= 2 and --nmax >= 0", ()),
+    "pascal-q-range": (["pascal", "--table", "--q", "0"], 2, "pascal: q must be >= 2", ()),
+    "pascal-library-error": (
+        ["pascal", "--identity-sweep", "--qmax", "2", "--nmax", "2"], 1,
+        "pascal: an analytic bound lies within the 40-digit brackets of pi and e",
+        ((pascal, "_PI", (3 * 10 ** 40, 4 * 10 ** 40)),)),
+    "construct-ignored-option": (["construct", *TRIVIAL, "--q", "5", "--out", "{tmp}/a.json"], 2,
+                                 "construct: --method trivial does not take --q", ()),
+    "construct-failed": (
+        ["construct", "--method", "random", "--q", "2", "--n", "6", "--t", "1", "--k", "6",
+         "--max-attempts", "3", "--out", "{tmp}/a.json"], 1,
+        "construction failed after 3 attempts: no 6x6 matrix with d_min >= 3 found "
+        "in 3 attempts (0 length escalations from 6)", ()),
+    "construct-limit-z": (["construct", *RANDOM, "--limit-z", "5", "--out", "{tmp}/a.json"], 2,
+                          "construct: n=8 exceeds the 3^n enumeration limit (5); "
+                          "raise --limit-z to override", ()),
+    "construct-value-error": (["construct", "--method", "trivial", "--out", "{tmp}/a.json"], 2,
+                              "construct: --n is required", ()),
+    "simulate-load": (["simulate", "--in", "{tmp}/missing.json"], 2,
+                      "simulate: cannot load artifact: [Errno 2] No such file or directory: "
+                      "'{tmp}/missing.json'", ()),
+    "simulate-limit-u": (["simulate", "--in", "{tmp}/triv.json", "--limit-u", "2"], 2,
+                         "simulate: n=3 exceeds the 2^n decoding limit (2); "
+                         "raise --limit-u to override", ()),
+    "simulate-t-range": (["simulate", "--in", "{tmp}/triv.json", "--t", "4"], 2,
+                         "simulate: need 0 <= t <= k = 3 and --rounds >= 0", ()),
+    "simulate-rounds-range": (["simulate", "--in", "{tmp}/triv.json", "--rounds", "-1"], 2,
+                              "simulate: need 0 <= t <= k = 3 and --rounds >= 0", ()),
+    "simulate-limit-z": (["simulate", "--in", "{tmp}/triv.json", "--limit-z", "2",
+                          "--error-mode", "worst-case-from-witness"], 2,
+                         "simulate: n=3 exceeds the 3^n enumeration limit (2); "
+                         "raise --limit-z to override", ()),
+    "simulate-design-t": (["simulate", "--in", "{tmp}/matrix.json",
+                           "--error-mode", "worst-case-from-witness"], 2,
+                          "simulate: the matrix does not tolerate the artifact's design_t = 0", ()),
+    "bounds-value-error": (["bounds", "--n", "1", "--q", "2"], 2,
+                           "bounds: need n >= 2 and q >= 2", ()),
+    "unwritable-out": (["bounds", "--n", "1024", "--out", "{tmp}/missing/b.txt"], 2,
+                       "bounds: cannot write {tmp}/missing/b.txt: No such file or directory", ()),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_each_refusal_exits_with_its_one_line(refusal_dir, capsys, monkeypatch, case):
+    argv, code, line, patches = REFUSALS[case]
+    for obj, name, value in patches:
+        monkeypatch.setattr(obj, name, value)
+    capsys.readouterr()
+    assert run([arg.replace("{tmp}", str(refusal_dir)) for arg in argv]) == code
+    assert capsys.readouterr() == ("", line.replace("{tmp}", str(refusal_dir)) + "\n")
+    assert not (refusal_dir / "a.json").exists()
+
+
+BIG = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "10", "--q", BIG],
+    ["bounds", "--n", "10", "--q", "2", "--t", BIG],
+    ["bounds", "--n", BIG, "--q", "2"],
+    ["construct", "--method", "random", "--n", "3", "--q", "3", "--t", BIG],
+    ["construct", "--method", "random", "--n", "3", "--q", BIG, "--t", "0"],
+    ["pascal", "--row", "--q", BIG, "--n", "1"],
+    ["pascal", "--table", "--q", BIG, "--nmax", "1"],
+], ids=["bounds-q", "bounds-t", "bounds-n", "random-t", "random-q", "row-q", "table-q"])
+def test_huge_integer_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "a.json"
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"{argv[0]}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["frobnicate"], "sigmac: error: argument subcommand: invalid choice: 'frobnicate'"),
+    (["construct", *TRIVIAL], "sigmac construct: error: the following arguments are required: "
+                              "--out"),
+    (["construct", "--method", "random", "--n", "3", "--tau", "-1/3", "--out", "a.json"],
+     "sigmac construct: error: argument --tau: expected one argument"),
+    (["bounds", "--n", "10", "--q", "2", "--tau", "1/0"],
+     "sigmac bounds: error: argument --tau: zero denominator in '1/0'"),
+    (["bounds", "--n", "10", "--tau", "nan"], "sigmac bounds: error: argument --tau: invalid "),
+    (["construct", "--method", "fast", "--out", "a.json"],
+     "sigmac construct: error: argument --method: invalid choice: 'fast'"),
+], ids=["subcommand", "missing-out", "negative-tau", "zero-denominator", "nan-tau", "method"])
+def test_argparse_error_is_one_line(capsys, argv, start):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(start)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"], ["bounds", "-h"]])
+def test_help_goes_to_stdout(capsys, argv):
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: sigmac") and err == ""
