@@ -62,12 +62,17 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _output(out: Optional[str]):
-    """The --out file, opened for writing, or standard output."""
-    if out:
-        with open(out, "w") as stream:
-            yield stream
-    else:
+    """The --out file, opened for writing, or standard output; a failed write leaves no file."""
+    if not out:
         yield sys.stdout
+        return
+    stream = open(out, "w")
+    try:
+        with stream:
+            yield stream
+    except BaseException:
+        Path(out).unlink(missing_ok=True)
+        raise
 
 
 def _write_output(text: str, out: Optional[str]) -> None:

@@ -39,6 +39,8 @@ from .bounds import ConstantT, TMode, achievable_random, max_correctable_fractio
 from .core import (
     SignatureMatrix,
     _check_u_limit,
+    _digit_sums,
+    _int_dtype,
     _integer_batch,
     at_most,
     decode_min_distance,
@@ -101,8 +103,7 @@ class PlainCode:
     record: dict
 
     def decode_batch(self, words, t: int, limit_u: int | None = None) -> list:
-        """decode_min_distance of the batch at budget t, checking the 2^n limit limit_u first."""
-        _check_u_limit(self.matrix.n, limit_u)
+        """decode_min_distance of the batch at budget t, which checks the 2^n limit limit_u first."""
         return decode_min_distance(words, self.matrix, t, limit_u)
 
     def to_json(self) -> dict:
@@ -239,10 +240,9 @@ def rs_augmented_decode(code: AugmentedCode, y) -> list:
     if words.shape[1] != code.matrix.k:
         raise ValueError(f"word length {words.shape[1]} != extended k = {code.matrix.k}")
     q_rs, width = code.q_rs, code.bit_width
-    # A parity symbol sums bit rows scaled by up to 2^(width - 1).
-    if words.dtype != object and (width >= 62 or len(words) and (
-            max(-int(words.min()), int(words.max())) >> (62 - width))):
-        words = words.astype(object)
+    # A parity symbol sums `width` bit rows scaled by 1 .. 2^(width - 1).
+    largest = max(-int(words.min()), int(words.max()), 1) if len(words) else 1
+    words = words.astype(_int_dtype(largest * ((1 << width) - 1)), copy=False)
     bits = words[:, k_lin:].reshape(len(words), 2 * code.t, width)
     scales = np.array([1 << b for b in range(width)], dtype=words.dtype)
     symbols = np.concatenate((words[:, :k_lin], bits @ scales), axis=1) % q_rs
@@ -428,8 +428,10 @@ class KroneckerCode:
         """Every bit pattern of a user block (2^s x s) and its image under M (2^s x p)."""
         import numpy as np
 
-        patterns = np.array(list(product((0, 1), repeat=self.inner.n)), dtype=np.int64)
-        return patterns, patterns @ np.array(self.inner.rows, dtype=np.int64).T
+        s = self.inner.n
+        columns = np.array(self.inner.rows, dtype=_int_dtype(s * (self.inner.q - 1))).T
+        return (_digit_sums(np.eye(s, dtype=np.int64), (0, 1)),
+                _digit_sums(columns, (0, 1)))
 
     @property
     def p(self) -> int:
@@ -520,16 +522,9 @@ def kronecker_compose(outer: BinaryLinearCode, inner: SignatureMatrix,
     Entries stay within {0,...,q-1} because the outer generator is binary:
     each block is either a copy of M or all zeros.
     """
-    rows = []
-    for a in range(outer.N):
-        gains = [outer.generator[j][a] for j in range(outer.K)]
-        for i in range(inner.k):
-            inner_row = inner.rows[i]
-            row = []
-            for g in gains:
-                row.extend(v * g for v in inner_row)
-            rows.append(tuple(row))
-    composed = SignatureMatrix(q=inner.q, rows=tuple(rows))
+    rows = tuple(tuple(v * gain for gain in column for v in inner_row)
+                 for column in zip(*outer.generator) for inner_row in inner.rows)
+    composed = SignatureMatrix(q=inner.q, rows=rows)
     return KroneckerCode(inner, outer, composed, t_inner, eps1, eps2)
 
 

@@ -87,10 +87,11 @@ class SignatureMatrix:
         import numpy as np
 
         cap = self.n * (self.q - 1)
+        # Narrower than _int_dtype's: every entry meets 2^n candidates.
         dtype = np.min_scalar_type(-1 - cap)
         columns = np.array(self.rows, dtype=dtype).T
         h = self.n // 2
-        left, right = (np.ascontiguousarray(_subset_sums(half).T)
+        left, right = (np.ascontiguousarray(_digit_sums(half, (0, 1)).T)
                        for half in (columns[:h], columns[h:]))
         left.flags.writeable = right.flags.writeable = False
         return _HalfTables(cap, dtype, h, left, right)
@@ -219,22 +220,32 @@ def min_distinguishing_weight(matrix: SignatureMatrix,
     return VerificationReport(d_min=best, witness_z=witness, z_count_checked=checked)
 
 
-def _sign_sums(columns):
-    """Row i holds M z for the i-th sign pattern z of `columns` (one column per row).
+def _int_dtype(bound: int):
+    """int64 if no integer an array step forms exceeds `bound` in magnitude, else object."""
+    import numpy as np
 
-    z_j is digit j of i in base 3, minus one, so the all-zero pattern is row
-    (3^h - 1) // 2 for h columns.
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _digit_sums(columns, digits):
+    """Row i holds sum_j digits[i_j] * columns[j] (one column per row of `columns`).
+
+    i_j is digit j of i in base len(digits), least significant first.  With
+    digits (-1, 0, 1) over h columns, the all-zero pattern is row (3^h - 1) // 2.
     """
     import numpy as np
 
-    sums = np.zeros((1, columns.shape[1]), dtype=columns.dtype)
-    for column in columns:
-        sums = np.concatenate((sums - column, sums, sums + column))
+    width = columns.shape[1]
+    sums = np.zeros((1, width), dtype=columns.dtype)
+    # steps[j] holds digit * column j, one row per digit.
+    steps = np.multiply.outer(np.array(digits, dtype=columns.dtype), columns).transpose(1, 0, 2)
+    for step in steps:
+        sums = (step[:, None] + sums).reshape(-1, width)
     return sums
 
 
 def _sign_pattern(index: int, length: int) -> list[int]:
-    """The sign pattern at row `index` of _sign_sums over `length` columns."""
+    """The sign pattern at row `index` of a (-1, 0, 1) _digit_sums over `length` columns."""
     return [index // 3 ** j % 3 - 1 for j in range(length)]
 
 
@@ -269,10 +280,10 @@ def at_most(matrix: SignatureMatrix, w: int,
     import numpy as np
 
     # Entries of M z lie within n(q-1) in magnitude, as do their pair sums.
-    dtype = np.int64 if 2 * n * (matrix.q - 1) < 1 << 62 else object
+    dtype = _int_dtype(n * (matrix.q - 1))
     columns = np.array(matrix.rows, dtype=dtype).T
     h = n // 2
-    left, right = _sign_sums(columns[:h]), _sign_sums(columns[h:])
+    left, right = (_digit_sums(half, (-1, 0, 1)) for half in (columns[:h], columns[h:]))
     zero = ((3 ** h - 1) // 2, (3 ** (n - h) - 1) // 2)
     left_mod, right_mod = (table.view(np.uint64) if dtype is np.int64
                            else (table % (1 << 64)).astype(np.uint64) for table in (left, right))
@@ -401,16 +412,6 @@ class _HalfTables(NamedTuple):
     right: object   # k x 2^(n-h) array, column b holds M_B b
 
 
-def _subset_sums(columns):
-    """Row a holds the sum of the columns j whose bit j is set in a."""
-    import numpy as np
-
-    sums = np.zeros((1, columns.shape[1]), dtype=columns.dtype)
-    for column in columns:
-        sums = np.concatenate((sums, sums + column))
-    return sums
-
-
 def _received_symbols(words, cap: int, dtype):
     """A 2-D array of received words as _received_symbol rows in `dtype`."""
     import numpy as np
@@ -494,13 +495,14 @@ def decode_min_distance(words, matrix: SignatureMatrix, t: int,
     split at h = n // 2, candidate u = (a, b) has weight equal to the number
     of rows where (y - M_A a) and M_B b differ.  Both halves are tabulated
     once per matrix and kept on it; the weights are taken in blocks of about
-    DECODE_BLOCK row comparisons.
+    DECODE_BLOCK row comparisons.  n is checked against `limit` (None stands
+    for DEFAULT_U_LIMIT) before any word is read.
     """
     n, k = matrix.n, matrix.k
+    _check_u_limit(n, limit)
     batch = _as_batch(words, k)
     if batch.shape[1] != k:
         raise ValueError(f"received word length {batch.shape[1]} != k = {k}")
-    _check_u_limit(n, limit)
     tables = matrix._half_tables
     return _min_distance_search(_received_symbols(batch, tables.cap, tables.dtype), matrix, t)
 
@@ -619,7 +621,7 @@ def simulate_round(matrix: SignatureMatrix, u, t: int, error_mode: str, seed,
     if errors is None:
         errors = [_draw_error_pattern(matrix, t, s) for s in seed]
     # Entries of M u and error values both lie within n(q-1) in magnitude.
-    dtype = np.int64 if 2 * matrix.n * (matrix.q - 1) < 1 << 62 else object
+    dtype = _int_dtype(2 * matrix.n * (matrix.q - 1))
     received = np.array(transmitted, dtype=dtype).reshape(len(u), matrix.n) \
         @ np.array(matrix.rows, dtype=dtype).T
     hits = [(i, pos, val) for i, pattern in enumerate(errors) for pos, val in pattern.items()]

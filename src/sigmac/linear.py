@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .core import _integer_batch, derive_seed
+from .core import _int_dtype, _integer_batch, derive_seed
 from .errors import ConstructionFailure, DecodingFailure
 
 
@@ -170,10 +170,8 @@ class RSCodec:
 
     @cached_property
     def _dtype(self):
-        """int64 where every syndrome sum, n_rs products below p^2, fits; else object."""
-        import numpy as np
-
-        return np.int64 if self.field.p ** 2 * self.n_rs < 1 << 63 else object
+        """The width of every syndrome sum: n_rs products below p^2."""
+        return _int_dtype(self.field.p ** 2 * self.n_rs)
 
     @cached_property
     def _check_array(self):
@@ -327,16 +325,7 @@ class BinaryLinearCode:
         """
         if self.K > MAX_EXHAUSTIVE_K:
             raise ValueError(f"K={self.K} too large for exhaustive distance")
-        masks = self._row_masks
-        cw = 0
-        best = self.N + 1
-        for counter in range(1, 1 << self.K):
-            j = (counter & -counter).bit_length() - 1
-            cw ^= masks[j]
-            w = cw.bit_count()
-            if w < best:
-                best = w
-        return best
+        return min(map(int.bit_count, _gray_codewords(self._row_masks)))
 
     def to_json(self) -> dict:
         return {
@@ -354,6 +343,17 @@ class BinaryLinearCode:
         if code.N != obj["N"] or code.K != obj["K"]:
             raise ValueError("declared shape does not match generator rows")
         return code
+
+
+def _gray_codewords(masks: Sequence[int]):
+    """The codeword mask of each nonzero message in Gray-code order.
+
+    The i-th (from 1) is the message i ^ (i >> 1), whose bit j selects masks[j].
+    """
+    codeword = 0
+    for counter in range(1, 1 << len(masks)):
+        codeword ^= masks[(counter & -counter).bit_length() - 1]
+        yield codeword
 
 
 def repetition_code(n_bits: int) -> BinaryLinearCode:
@@ -410,23 +410,15 @@ def _nearest_codeword(code: BinaryLinearCode,
     known = code._nearest.get(target)
     if known is not None:
         return known
-    masks = code._row_masks
-    msg = [0] * code.K
-    cw = 0
-    best_msg = tuple(msg)
-    best_cw = 0
-    best_dist = (cw ^ target).bit_count()
-    tie = False
-    for counter in range(1, 1 << code.K):
-        j = (counter & -counter).bit_length() - 1
-        msg[j] ^= 1
-        cw ^= masks[j]
+    best, best_cw, best_dist, tie = 0, 0, target.bit_count(), False
+    for i, cw in enumerate(_gray_codewords(code._row_masks), 1):
         dist = (cw ^ target).bit_count()
         if dist < best_dist:
-            best_msg, best_cw, best_dist, tie = tuple(msg), cw, dist, False
+            best, best_cw, best_dist, tie = i, cw, dist, False
         elif dist == best_dist:
             tie = True
-    answer = code._nearest[target] = (best_msg, best_cw, best_dist, tie)
+    message = tuple((best ^ best >> 1) >> j & 1 for j in range(code.K))
+    answer = code._nearest[target] = (message, best_cw, best_dist, tie)
     return answer
 
 
@@ -454,10 +446,9 @@ def integer_lift_decode(code: BinaryLinearCode, y, w_max: int):
     if w_max < 0:
         raise ValueError("w_max must be >= 0")
     planes = w_max.bit_length()
-    w = np.zeros((len(values), code.K), dtype=np.int64 if planes < 63 else object)
+    w = np.zeros((len(values), code.K), dtype=_int_dtype((1 << planes) - 1))
     # Bit i of a word's parity pattern is the parity of its entry i.
-    weights = np.array([1 << i for i in range(code.N)],
-                       dtype=np.int64 if code.N < 63 else object)
+    weights = np.array([1 << i for i in range(code.N)], dtype=_int_dtype((1 << code.N) - 1))
     generator = np.array(code.generator, dtype=np.int64)
     for plane in range(planes):
         patterns, which = np.unique((values & 1) @ weights, return_inverse=True)

@@ -7,7 +7,9 @@ must print, byte for byte, what a round-at-a-time loop prints.
 """
 
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import per_word
 from sigmac import cli
 from sigmac import constructions as cons
-from sigmac import core
+from sigmac import core, linear
 from sigmac.core import SignatureMatrix, encode
 from sigmac.errors import AmbiguousDecoding, CapacityError, DecodingFailure
 from sigmac.linear import (
@@ -23,6 +25,7 @@ from sigmac.linear import (
     PrimeField,
     RSCodec,
     integer_lift_decode,
+    repetition_code,
     rs_decode,
     rs_encode,
 )
@@ -238,8 +241,6 @@ BATCH_CALLS = {
 @pytest.mark.parametrize("as_array", [False, True], ids=["tuple", "array"])
 def test_a_bare_word_is_not_a_batch(name, as_array):
     """One word y is the batch [y]; alone, it is refused, not read as len(y) words."""
-    import numpy as np
-
     call, length = BATCH_CALLS[name]
     word = (1,) + (0,) * (length - 1)
     with pytest.raises(ValueError, match="a batch of words is expected"):
@@ -269,12 +270,119 @@ def test_an_empty_batch_of_64_bit_parity_symbols():
 
 
 def test_numpy_integers_in_an_object_batch_are_integers():
-    import numpy as np
-
     code = RS_CODES[0]
     clean = encode(code.matrix, (1, 0, 1))
     word = [np.int64(v) for v in clean[:-1]] + [2**70 + clean[-1]]
     assert code.decode_batch([clean, word], code.t) == [(1, 0, 1), (1, 0, 1)]
+
+
+# -- integer width: both sides of core._int_dtype at every site ----------------
+
+def chosen_widths(module, call):
+    """call()'s result and the dtypes `module`'s _int_dtype chose for it, in order."""
+    chosen, rule = [], core._int_dtype
+
+    def spy(bound):
+        chosen.append(rule(bound))
+        return chosen[-1]
+
+    with mock.patch.object(module, "_int_dtype", spy):
+        return call(), chosen
+
+
+def test_int_dtype_is_int64_below_2_to_the_63():
+    assert core._int_dtype(0) is core._int_dtype(2**63 - 1) is np.int64
+    assert core._int_dtype(2**63) is core._int_dtype(2**70) is object
+
+
+@pytest.mark.parametrize("q, rows, width", [
+    (3, ((1, 2, 0), (2, 1, 1)), np.int64),
+    # n(q - 1) = 2^63 - 2, which the pair (1, 1) sums to on row 0
+    (2**62, ((2**62 - 1, 2**62 - 1), (0, 0)), np.int64),
+    (2**62, ((2**62 - 1, 1, 0), (0, 2**62 - 1, 2**62 - 1)), object),
+])
+def test_at_most_width(q, rows, width):
+    matrix = SignatureMatrix(q=q, rows=rows)
+    d_min = core.min_distinguishing_weight(matrix).d_min
+    for w in range(matrix.k):
+        z, chosen = chosen_widths(core, lambda: core.at_most(matrix, w))
+        assert chosen == [width] and (z is None) == (d_min > w)
+        if z is not None:
+            assert sum(1 for row in rows if sum(v * s for v, s in zip(row, z))) <= w
+
+
+@pytest.mark.parametrize("a, width", [(5, np.int64), (2**61 - 1, np.int64), (2**61, object)])
+def test_simulate_round_width(a, width):
+    # each user's column three times over, so d_min = 3; a received entry
+    # reaches 2 n (q - 1) = 4a in magnitude
+    matrix = SignatureMatrix(q=a + 1, rows=((a, 0), (0, a)) * 3)
+    us = [(u1, u2) for u1 in (0, 1) for u2 in (0, 1)] * 8
+    records, chosen = chosen_widths(core, lambda: core.simulate_round(
+        matrix, us, 1, core.RANDOM_ERRORS, seed=list(range(len(us)))))
+    assert chosen == [width] and all(record.success for record in records)
+
+
+@pytest.mark.parametrize("p, width", [(11, np.int64), (2**61 - 1, object)])
+def test_rs_decode_width(p, width):
+    codec = RSCodec(PrimeField(p), n_rs=4, k_rs=2)
+    word = rs_encode(codec, [3, 7])
+    word[2] = (word[2] + 1) % p
+    outcomes, chosen = chosen_widths(linear, lambda: rs_decode(codec, [word]))
+    assert chosen == [width] and outcomes == [[3, 7]]
+
+
+@pytest.mark.parametrize("n_bits, value, widths", [
+    (3, 5, [np.int64, np.int64]),
+    (3, 2**63 - 1, [np.int64, np.int64]),
+    (3, 2**63, [object, np.int64]),
+    (63, 5, [np.int64, np.int64]),
+    (64, 5, [np.int64, object]),
+])
+def test_integer_lift_widths(n_bits, value, widths):
+    # w, then the parity-pattern weights 2^0 .. 2^(N - 1)
+    code = repetition_code(n_bits)
+    words = [(value,) * n_bits, (0,) * n_bits]
+    w, chosen = chosen_widths(linear, lambda: integer_lift_decode(code, words, value))
+    assert chosen == widths and w.tolist() == [[value], [0]]
+
+
+# At most 2^63 - 1 in magnitude once the 3 bit rows of a parity symbol are summed.
+EDGE = (2**63 - 1) // 7
+
+
+@pytest.mark.parametrize("entry, width", [(1, np.int64), (EDGE, np.int64),
+                                          (EDGE + 1, object), (2**70, object)])
+def test_rs_augmented_width(entry, width):
+    code = RS_CODES[0]
+    assert code.bit_width == 3
+    word = list(encode(code.matrix, (1, 0, 1)))
+    word[-1] = entry  # the top bit row of the last parity symbol
+    outcomes, chosen = chosen_widths(cons, lambda: code.decode_batch([word], code.t))
+    assert chosen == [width] and outcomes == [(1, 0, 1)]
+
+
+# The image of u = (1, 1) under the inner row is 2^63 + 1.
+BEYOND_INT64 = SignatureMatrix(q=2**62 + 2, rows=((2**62 + 1, 2**62),))
+
+
+def test_kronecker_images_beyond_int64():
+    us = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    code = cons.kronecker_compose(repetition_code(3), BEYOND_INT64, t_inner=0)
+    assert code.decode_batch([encode(code.matrix, u) for u in us], 0) == us
+    records = core.simulate_round(code.matrix, us, 0, core.RANDOM_ERRORS, seed=[0] * 4,
+                                  decode_batch=lambda batch: code.decode_batch(batch, 0))
+    assert [(record.success, record.decoded) for record in records] == \
+        [(True, u) for u in us]
+
+
+@pytest.mark.parametrize("inner, width", [(TINY_KRONECKER.inner, np.int64),
+                                          (BEYOND_INT64, object)])
+def test_kronecker_images_width(inner, width):
+    us = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    code = cons.kronecker_compose(repetition_code(3), inner, t_inner=0)
+    words = [encode(code.matrix, u) for u in us]
+    outcomes, chosen = chosen_widths(cons, lambda: code.decode_batch(words, 0))
+    assert chosen == [width] and outcomes == us
 
 
 # -- simulate: chunked rounds against one round at a time ---------------------

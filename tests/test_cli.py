@@ -11,7 +11,7 @@ import pytest
 
 from sigmac import cli, constructions, core, pascal
 from sigmac.core import SignatureMatrix, min_distinguishing_weight
-from sigmac.linear import BinaryLinearCode
+from sigmac.linear import BinaryLinearCode, repetition_code
 
 
 def run(argv):
@@ -295,6 +295,18 @@ def test_construct_kronecker_and_simulate(tmp_path, capsys):
     assert run(["simulate", "--in", str(artifact), "--rounds", "40",
                 "--seed", "2"]) == 0
     capsys.readouterr()
+
+
+def test_kronecker_images_beyond_int64_simulate(tmp_path, capsys):
+    # the image of u = (1, 1) under the inner row is 2^63 + 1
+    inner = SignatureMatrix(q=2**62 + 2, rows=((2**62 + 1, 2**62),))
+    code = constructions.kronecker_compose(repetition_code(3), inner, t_inner=0)
+    artifact = tmp_path / "kron.json"
+    artifact.write_text(core.dumps_canonical({**code.to_json(), "seed": 0, "d_min": None}))
+    for t in ("0", "1"):
+        assert run(["simulate", "--in", str(artifact), "--rounds", "20", "--t", t]) == 0
+        assert capsys.readouterr() == (
+            f"simulate: rounds=20 t={t} mode={core.RANDOM_ERRORS} failures=0\n", "")
 
 
 def test_construct_kronecker_rejects_bad_epsilon(tmp_path, capsys):
@@ -777,6 +789,16 @@ def test_huge_integer_is_usage_error(tmp_path, capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"{argv[0]}: ")
+    assert not out.exists()
+
+
+def test_a_table_refused_part_way_leaves_no_file(tmp_path, capsys):
+    # the header and row 0 are written before row 1 overflows
+    out = tmp_path / "part.csv"
+    assert run(["pascal", "--table", "--q", BIG, "--nmax", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("pascal: ")
     assert not out.exists()
 
 

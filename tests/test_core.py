@@ -191,7 +191,7 @@ def check_threshold_answers(matrix: SignatureMatrix, d_min: int) -> None:
 
 @st.composite
 def small_matrices(draw):
-    # 2^62 makes 2 n (q - 1) reach 2^62 from n = 2, where at_most's tables
+    # 2^62 makes n (q - 1) pass 2^63 from n = 3, where at_most's tables
     # hold Python integers.
     q = draw(st.sampled_from([2, 3, 4, 2 ** 62]))
     n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))

@@ -168,7 +168,7 @@ def test_engine_checks_match_reference():
 def test_half_tables_are_built_once_per_matrix():
     # one build tabulates two halves
     first, second = identity(6), identity(6)
-    with mock.patch.object(core, "_subset_sums", wraps=core._subset_sums) as sums:
+    with mock.patch.object(core, "_digit_sums", wraps=core._digit_sums) as sums:
         for u in product((0, 1), repeat=6):
             assert decode_min_distance([encode(first, u)], first, 0) == [u]
         tables = first._half_tables
@@ -181,13 +181,26 @@ def test_half_tables_are_built_once_per_matrix():
 def test_checks_come_before_the_tables():
     wide = SignatureMatrix(q=2, rows=((1,) * (DEFAULT_U_LIMIT + 1),))
     narrow = identity(4)
-    with mock.patch.object(core, "_subset_sums") as sums:
+    with mock.patch.object(core, "_digit_sums") as sums:
         for y, matrix, limit in (((0,), wide, None), ((0, 0, 0, 0), narrow, 3),
                                  ((0, 0, 0), narrow, None)):
             with pytest.raises((CapacityError, ValueError)):
                 decode_min_distance([y], matrix, 0, limit)
     sums.assert_not_called()
     assert "_half_tables" not in wide.__dict__ and "_half_tables" not in narrow.__dict__
+
+
+def test_the_2n_budget_comes_before_the_batch():
+    """A malformed batch on a matrix over the 2^n limit is refused for the limit."""
+    from sigmac.constructions import PlainCode
+
+    wide = SignatureMatrix(q=2, rows=((1,) * (DEFAULT_U_LIMIT + 1),))
+    # a bare word, a word of the wrong length, ragged words, a 3-D array
+    for words in ((0,), [(0, 0)], [(0,), (0, 0)], [[[0]]]):
+        with pytest.raises(CapacityError):
+            decode_min_distance(words, wide, 0)
+        with pytest.raises(CapacityError):
+            PlainCode(wide, 0, {}).decode_batch(words, 0)
 
 
 @st.composite

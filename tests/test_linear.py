@@ -548,6 +548,31 @@ def test_integer_lift_exhaustive_small_grid():
             assert not tie and oracle == w
 
 
+def reflected_gray(bits: int) -> list[int]:
+    """Messages 0 .. 2^bits - 1 as bit masks in reflected Gray-code order."""
+    order = [0]
+    for j in range(bits):
+        order += [m | 1 << j for m in reversed(order)]
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gray_walk_matches_brute_force(data):
+    """min_distance and _nearest_codeword: the first codeword in Gray order wins."""
+    n_bits = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * n_bits), min_size=1, max_size=4))
+    code = BinaryLinearCode(generator=tuple(rows), design_distance=1)
+    messages = [tuple(m >> j & 1 for j in range(code.K)) for m in reflected_gray(code.K)]
+    codewords = [sum(b << i for i, b in enumerate(encode_bits(code, m))) for m in messages]
+    assert code.min_distance() == min(cw.bit_count() for cw in codewords[1:])
+    for target in range(1 << n_bits):
+        dists = [(cw ^ target).bit_count() for cw in codewords]
+        first = dists.index(min(dists))
+        assert _nearest_codeword(code, target) == \
+            (messages[first], codewords[first], dists[first], dists.count(dists[first]) > 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_memoised_lift_matches_a_fresh_one(data):
