@@ -5,8 +5,8 @@ property fails (a construction or simulation found a real violation), 2 on
 usage errors.  The handlers raise every failure, and main alone turns it
 into its exit code and one stderr line:
 
-- a refused command, an argparse error, or a ValueError or OverflowError
-  from an input out of range: 2;
+- a refused command, an argparse error, or a ValueError, OverflowError or
+  MemoryError from an input out of range: 2;
 - a CapacityError: 2, with the --limit-z or --limit-u that would lift it;
 - a ConstructionFailure: 1, "construction failed after N attempts: ...";
 - any other SigmacError: 1;
@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +55,11 @@ class _Refusal(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose errors are refusals of one line, without the usage."""
+    """Errors are refusals of one line, without the usage; -1/3 and -1e5 are values, as -5 is."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise _Refusal(f"{self.prog}: error: {message}")
@@ -87,8 +92,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _at_least(low: int, many: bool = False):
+    """An argparse type: an integer >= low, or with many, a nonempty comma-separated list."""
+    def integer(text: str):
+        values = [int(part) for part in text.split(",") if part] if many else [int(text)]
+        if not values or min(values) < low:
+            raise argparse.ArgumentTypeError(f"need integers >= {low}, got {text!r}")
+        return values if many else values[0]
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,47 +110,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_pascal = sub.add_parser("pascal", help="triangle rows, identity sweeps, CSV tables")
-    p_pascal.add_argument("--q", type=int, help="alphabet size (>= 2)")
-    p_pascal.add_argument("--n", type=int, help="row index (>= 0)")
-    p_pascal.add_argument("--row", action="store_true", help="print row n of the q-ary triangle")
-    p_pascal.add_argument("--identity-sweep", action="store_true",
-                          help="check every identity and bound over the grid")
-    p_pascal.add_argument("--table", action="store_true",
-                          help="emit CSV q,n,k,coefficient over the grid")
-    # None when not given, so that a mode which ignores them can say so.
-    p_pascal.add_argument("--qmax", type=int)
-    p_pascal.add_argument("--nmax", type=int)
+    mode = p_pascal.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--row", action="store_true", help="print row n of the q-ary triangle")
+    mode.add_argument("--identity-sweep", action="store_true",
+                      help="check every identity and bound over the grid")
+    mode.add_argument("--table", action="store_true",
+                      help="emit CSV q,n,k,coefficient over the grid")
+    p_pascal.add_argument("--q", type=_at_least(2), help="alphabet size (>= 2)")
+    p_pascal.add_argument("--n", type=_at_least(0), help="row index (>= 0)")
+    p_pascal.add_argument("--qmax", type=_at_least(2))
+    p_pascal.add_argument("--nmax", type=_at_least(0))
     p_pascal.add_argument("--out")
 
     p_con = sub.add_parser("construct", help="build a code and write its JSON artifact")
     p_con.add_argument("--method", required=True,
                        choices=["trivial", "rs-augment", "random", "kronecker"])
-    # None when not given, so that a method which ignores them can say so;
-    # cmd_construct resolves --q 2, --t 1, --max-attempts 100, --outer search.
     p_con.add_argument("--q", type=int)
     p_con.add_argument("--n", type=int)
-    p_con.add_argument("--k", type=int, help="length override for the random method")
+    p_con.add_argument("--k", type=int, help="length override")
     p_con.add_argument("--t", type=int)
     p_con.add_argument("--tau", type=_parse_fraction,
-                       help="linear error fraction for the random method "
-                            "(t becomes floor(tau * k))")
+                       help="linear error fraction (t becomes floor(tau * k))")
     p_con.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_con.add_argument("--max-attempts", type=int)
-    p_con.add_argument("--epsilon", type=_parse_fraction,
-                       help="total slack for the kronecker method, e.g. 1/16")
-    p_con.add_argument("--p", type=int, help="inner matrix rows (kronecker)")
-    p_con.add_argument("--s", type=int, help="inner matrix columns (kronecker)")
-    p_con.add_argument("--r", type=int, help="outer code dimension (kronecker)")
+    p_con.add_argument("--epsilon", type=_parse_fraction, help="total slack, e.g. 1/16")
+    p_con.add_argument("--p", type=int, help="inner matrix rows")
+    p_con.add_argument("--s", type=int, help="inner matrix columns")
+    p_con.add_argument("--r", type=int, help="outer code dimension")
     p_con.add_argument("--outer", choices=["search", "repetition"])
     p_con.add_argument("--c1", type=int, help="outer length multiplier override")
-    p_con.add_argument("--inner-t", type=int,
-                       help="override the planned inner error tolerance")
+    p_con.add_argument("--inner-t", type=int, help="override the planned inner error tolerance")
     p_con.add_argument("--limit-z", type=int, help="3^n verification budget")
     p_con.add_argument("--out", required=True)
 
     p_sim = sub.add_parser("simulate", help="round-trip an artifact under adversarial errors")
     p_sim.add_argument("--in", dest="artifact", required=True)
-    p_sim.add_argument("--rounds", type=int, default=100)
+    p_sim.add_argument("--rounds", type=_at_least(0), default=100)
     p_sim.add_argument("--t", type=int, help="error budget override")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--error-mode", default=core.RANDOM_ERRORS,
@@ -148,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--limit-u", type=int)
 
     p_bounds = sub.add_parser("bounds", help="tabulate converse/achievability lengths")
-    p_bounds.add_argument("--n", required=True, help="comma-separated sizes, e.g. 1024,16384")
-    p_bounds.add_argument("--q", default="2", help="comma-separated alphabet sizes")
+    p_bounds.add_argument("--n", required=True, type=_at_least(2, many=True),
+                          help="comma-separated sizes, e.g. 1024,16384")
+    p_bounds.add_argument("--q", default="2", type=_at_least(2, many=True),
+                          help="comma-separated alphabet sizes")
     group = p_bounds.add_mutually_exclusive_group()
     group.add_argument("--t", type=int, help="constant error budget")
     group.add_argument("--tau", type=_parse_fraction, help="linear error fraction")
@@ -168,31 +176,52 @@ def _main_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# For each mode of a subcommand, named by its selecting option and value, the
+# options it reads: (required, optional).  Argparse requires --method, --in and
+# construct's --out.  An option some mode does not read is None when not given.
+MODES = {
+    ("pascal", "--row"): ("--q --n", "--out"),
+    ("pascal", "--table"): ("", "--q --qmax --nmax --out"),
+    ("pascal", "--identity-sweep"): ("", "--qmax --nmax"),
+    ("construct", "--method trivial"): ("--n", "--seed --limit-z"),
+    ("construct", "--method rs-augment"): ("--n", "--t --seed --limit-z"),
+    ("construct", "--method random"): ("--n", "--q --k --t --tau --max-attempts --seed --limit-z"),
+    ("construct", "--method kronecker"): ("--epsilon --p --s --r",
+                                          "--q --outer --c1 --inner-t --seed --limit-z"),
+    ("simulate", f"--error-mode {core.RANDOM_ERRORS}"): ("", "--rounds --t --seed --limit-u"),
+    ("simulate", f"--error-mode {core.WORST_CASE_ERRORS}"): (
+        "", "--rounds --t --seed --limit-u --limit-z"),
+}
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    """Refuse an option the chosen mode does not read, or a required one left out."""
+    values = {f"--{dest.replace('_', '-')}": value for dest, value in vars(args).items()}
+    modes = {mode: reads for (sub, mode), reads in MODES.items() if sub == args.subcommand}
+    for mode, (required, optional) in modes.items():
+        selector, _, selected = mode.partition(" ")
+        if values[selector] == (selected or True):
+            for option in dict.fromkeys(" ".join(itertools.chain(*modes.values())).split()):
+                if values[option] is not None and option not in f"{required} {optional}".split():
+                    raise _Refusal(f"{args.subcommand}: {mode} does not take {option}")
+                if values[option] is None and option in required.split():
+                    raise _Refusal(f"{args.subcommand}: {mode} needs {option}")
+
+
 def cmd_pascal(args: argparse.Namespace) -> int:
-    if args.row + args.identity_sweep + args.table != 1:
-        raise _Refusal("pascal: choose exactly one of --row, --identity-sweep, --table")
     if args.row:
-        if args.qmax is not None or args.nmax is not None:
-            raise _Refusal("pascal: --row takes --q and --n, not --qmax or --nmax")
-        if args.q is None or args.n is None or args.q < 2 or args.n < 0:
-            raise _Refusal("pascal --row needs --q >= 2 and --n >= 0")
         _write_output(" ".join(map(str, pascal.row(args.q, args.n))) + "\n", args.out)
         return EXIT_OK
-    mode = "--table" if args.table else "--identity-sweep"
-    if args.n is not None:
-        raise _Refusal(f"pascal: {mode} takes --nmax, not --n")
-    if args.identity_sweep and args.q is not None:
-        raise _Refusal("pascal: --identity-sweep takes --qmax, not --q")
-    qmax = 4 if args.qmax is None else args.qmax
+    if args.q is not None and args.qmax is not None:
+        raise _Refusal("pascal: --qmax is read only without --q")
     nmax = 8 if args.nmax is None else args.nmax
-    q_values = [args.q] if args.q is not None else range(2, qmax + 1)
-    if not q_values or nmax < 0:
-        raise _Refusal("pascal: need --qmax >= 2 and --nmax >= 0")
-    if min(q_values) < 2:
-        raise _Refusal("pascal: q must be >= 2")
+    q_values = [args.q] if args.q is not None else range(2, (args.qmax or 4) + 1)
     if args.table:
         # One row's lines at a time: the whole table runs to megabytes.
         with _output(args.out) as stream:
+            # Row 1 of a q too large to build fails here, before the header.
+            for q in q_values:
+                pascal.row(q, min(nmax, 1))
             stream.write("q,n,k,coefficient\n")
             for q in q_values:
                 for n in range(nmax + 1):
@@ -233,36 +262,13 @@ def cmd_pascal(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-# The method-specific options of construct that each method reads.
-CONSTRUCT_OPTIONS = {
-    "trivial": ("--n",),
-    "rs-augment": ("--n", "--t"),
-    "random": ("--q", "--n", "--k", "--t", "--tau", "--max-attempts"),
-    "kronecker": ("--q", "--epsilon", "--p", "--s", "--r", "--outer", "--c1", "--inner-t"),
-}
-
-
-def _ignored_construct_option(args: argparse.Namespace) -> Optional[str]:
-    """Why a given option would go unread by construct, or None if none would."""
-    for option in dict.fromkeys(itertools.chain(*CONSTRUCT_OPTIONS.values())):
-        if getattr(args, option[2:].replace("-", "_")) is not None \
-                and option not in CONSTRUCT_OPTIONS[args.method]:
-            return f"--method {args.method} does not take {option}"
-    if args.t is not None and args.tau is not None:
-        return "--tau sets t to floor(tau * k); drop --t"
-    if args.c1 is not None and args.outer != "repetition":
-        return "--c1 is read only with --outer repetition"
-    return None
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
-    ignored = _ignored_construct_option(args)
-    if ignored is not None:
-        raise _Refusal(f"construct: {ignored}")
+    if args.t is not None and args.tau is not None:
+        raise _Refusal("construct: --tau sets t to floor(tau * k); drop --t")
+    if args.c1 is not None and args.outer != "repetition":
+        raise _Refusal("construct: --c1 is read only with --outer repetition")
     q = 2 if args.q is None else args.q
     t = 1 if args.t is None else args.t
-    if args.method != "kronecker" and args.n is None:
-        raise ValueError("--n is required")
     if args.method == "trivial":
         code = cons.PlainCode(cons.construct_trivial(args.n), 0, {"kind": "trivial"})
     elif args.method == "rs-augment":
@@ -279,8 +285,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
             max_attempts=100 if args.max_attempts is None else args.max_attempts,
             k_override=k, limit=args.limit_z)
     else:  # kronecker
-        if args.epsilon is None or not (args.p and args.s and args.r):
-            raise ValueError("kronecker needs --epsilon, --p, --s, --r")
         code = cons.build_kronecker(q, args.epsilon, args.p, args.s,
                                     args.r, seed=args.seed,
                                     outer_kind=args.outer or "search",
@@ -306,8 +310,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     matrix = code.matrix
     t = code.design_t if args.t is None else args.t
     code.decode_batch([], t, args.limit_u)  # checks the 2^n budget before any round
-    if not 0 <= t <= matrix.k or args.rounds < 0:
-        raise _Refusal(f"simulate: need 0 <= t <= k = {matrix.k} and --rounds >= 0")
+    if not 0 <= t <= matrix.k:
+        raise _Refusal(f"simulate: need 0 <= t <= k = {matrix.k}")
     witness = None
     if args.error_mode == core.WORST_CASE_ERRORS:
         witness = core.adversarial_witness(matrix, t, args.limit_z)
@@ -342,17 +346,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    n_values = _parse_int_list(args.n)
-    q_values = _parse_int_list(args.q)
-    if not n_values or not q_values:
-        raise ValueError("empty range")
-    if any(n < 2 for n in n_values) or any(q < 2 for q in q_values):
-        raise ValueError("need n >= 2 and q >= 2")
     if args.tau is not None:
         mode: bounds_mod.TMode = bounds_mod.LinearTau(args.tau)
     else:
         mode = bounds_mod.ConstantT(args.t if args.t is not None else 0)
-    reports = bounds_mod.bound_table(n_values, q_values, mode)
+    reports = bounds_mod.bound_table(args.n, args.q, mode)
     if args.format == "csv":
         _write_output(bounds_mod.bound_table_csv(reports), args.out)
     elif args.format == "json":
@@ -382,6 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _main_parser().parse_args(argv)
         subcommand = args.subcommand
+        _check_options(args)
         return {
             "pascal": cmd_pascal,
             "construct": cmd_construct,
@@ -396,8 +395,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, line = EXIT_USAGE, f"{subcommand}: {exc}; raise --limit-{exc.budget} to override"
     except ConstructionFailure as exc:
         code, line = EXIT_CHECK_FAILED, f"construction failed after {exc.attempts} attempts: {exc}"
-    except (ValueError, OverflowError) as exc:  # an input out of range
-        code, line = EXIT_USAGE, f"{subcommand}: {exc}"
+    except (ValueError, OverflowError, MemoryError) as exc:  # an input out of range
+        code, line = EXIT_USAGE, f"{subcommand}: {str(exc) or 'out of memory'}"
     except SigmacError as exc:
         code, line = EXIT_CHECK_FAILED, f"{subcommand}: {exc}"
     except OSError as exc:

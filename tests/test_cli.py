@@ -29,7 +29,8 @@ def test_pascal_row_usage_errors(capsys):
     assert run(["pascal", "--q", "3", "--n", "2"]) == 2  # no mode picked
     capsys.readouterr()
     assert run(["pascal", "--table", "--q", "0"]) == 2
-    assert capsys.readouterr() == ("", "pascal: q must be >= 2\n")
+    assert capsys.readouterr() == (
+        "", "sigmac pascal: error: argument --q: need integers >= 2, got '0'\n")
 
 
 def test_pascal_identity_sweep(capsys):
@@ -39,29 +40,30 @@ def test_pascal_identity_sweep(capsys):
 
 
 def test_pascal_table_q_replaces_the_qmax_range(capsys):
-    # --qmax is not read when --q gives the one alphabet of the table
-    assert run(["pascal", "--table", "--q", "3", "--qmax", "1", "--nmax", "2"]) == 0
+    # --q gives the one alphabet of the table, so --qmax would go unread
+    assert run(["pascal", "--table", "--q", "3", "--nmax", "2"]) == 0
     assert capsys.readouterr() == (joined_table([3], 2), "")
+    assert run(["pascal", "--table", "--q", "3", "--qmax", "9", "--nmax", "2"]) == 2
+    assert capsys.readouterr() == ("", "pascal: --qmax is read only without --q\n")
     assert run(["pascal", "--table", "--qmax", "1", "--nmax", "2"]) == 2
-    assert capsys.readouterr() == ("", "pascal: need --qmax >= 2 and --nmax >= 0\n")
+    assert capsys.readouterr() == (
+        "", "sigmac pascal: error: argument --qmax: need integers >= 2, got '1'\n")
 
 
 def test_identity_sweep_rejects_q(capsys):
     assert run(["pascal", "--identity-sweep", "--q", "9"]) == 2
-    assert capsys.readouterr() == ("", "pascal: --identity-sweep takes --qmax, not --q\n")
+    assert capsys.readouterr() == ("", "pascal: --identity-sweep does not take --q\n")
 
 
 @pytest.mark.parametrize("argv, error", [
     (["--identity-sweep", "--n", "5", "--qmax", "2", "--nmax", "1"],
-     "pascal: --identity-sweep takes --nmax, not --n\n"),
-    (["--table", "--n", "5"], "pascal: --table takes --nmax, not --n\n"),
-    (["--table", "--q", "3", "--n", "2", "--nmax", "4"], "pascal: --table takes --nmax, not --n\n"),
+     "pascal: --identity-sweep does not take --n\n"),
+    (["--table", "--n", "5"], "pascal: --table does not take --n\n"),
+    (["--table", "--q", "3", "--n", "2", "--nmax", "4"], "pascal: --table does not take --n\n"),
     (["--row", "--q", "3", "--n", "2", "--qmax", "0", "--nmax", "-4"],
-     "pascal: --row takes --q and --n, not --qmax or --nmax\n"),
-    (["--row", "--q", "3", "--n", "2", "--qmax", "5"],
-     "pascal: --row takes --q and --n, not --qmax or --nmax\n"),
-    (["--row", "--q", "3", "--n", "2", "--nmax", "5"],
-     "pascal: --row takes --q and --n, not --qmax or --nmax\n"),
+     "sigmac pascal: error: argument --qmax: need integers >= 2, got '0'\n"),
+    (["--row", "--q", "3", "--n", "2", "--qmax", "5"], "pascal: --row does not take --qmax\n"),
+    (["--row", "--q", "3", "--n", "2", "--nmax", "5"], "pascal: --row does not take --nmax\n"),
 ])
 def test_pascal_rejects_options_its_mode_ignores(capsys, argv, error):
     assert run(["pascal", *argv]) == 2
@@ -107,9 +109,9 @@ def joined_table(q_values, nmax: int) -> str:
 @pytest.mark.parametrize("q, qmax, nmax", [(None, 2, 0), (None, 4, 9), (None, 7, 30),
                                            (5, 2, 12), (2, 6, 0)])
 def test_streamed_table_matches_the_joined_one(tmp_path, capsys, q, qmax, nmax):
-    argv = ["pascal", "--table", "--qmax", str(qmax), "--nmax", str(nmax)]
-    if q is not None:
-        argv += ["--q", str(q)]
+    # --q replaces the --qmax range, which then is not given
+    argv = ["pascal", "--table", "--nmax", str(nmax)]
+    argv += ["--qmax", str(qmax)] if q is None else ["--q", str(q)]
     expected = joined_table([q] if q is not None else range(2, qmax + 1), nmax)
     assert run(argv) == 0
     assert capsys.readouterr() == (expected, "")
@@ -317,7 +319,7 @@ def test_construct_kronecker_rejects_bad_epsilon(tmp_path, capsys):
     assert code == 2
     assert "eps1" in capsys.readouterr().err
     # --n 0 reaches the library's check; only a missing --n is reported as such
-    for n, message in ((["--n", "0"], "need n >= 1"), ([], "--n is required")):
+    for n, message in ((["--n", "0"], "need n >= 1"), ([], "--method trivial needs --n")):
         assert run(["construct", "--method", "trivial", *n,
                     "--out", str(tmp_path / "t.json")]) == 2
         assert capsys.readouterr().err == f"construct: {message}\n"
@@ -707,18 +709,29 @@ def refusal_dir(tmp_path):
 # code, whole stderr line, and the (object, name, value) attributes it patches.
 REFUSALS = {
     "pascal-no-mode": (["pascal", "--q", "3", "--n", "2"], 2,
-                       "pascal: choose exactly one of --row, --identity-sweep, --table", ()),
+                       "sigmac pascal: error: one of the arguments --row --identity-sweep "
+                       "--table is required", ()),
+    "pascal-two-modes": (["pascal", "--row", "--table"], 2,
+                         "sigmac pascal: error: argument --table: not allowed with argument "
+                         "--row", ()),
     "pascal-row-grid": (["pascal", "--row", "--q", "3", "--n", "2", "--qmax", "5"], 2,
-                        "pascal: --row takes --q and --n, not --qmax or --nmax", ()),
+                        "pascal: --row does not take --qmax", ()),
     "pascal-row-range": (["pascal", "--row", "--q", "1", "--n", "2"], 2,
-                         "pascal --row needs --q >= 2 and --n >= 0", ()),
+                         "sigmac pascal: error: argument --q: need integers >= 2, got '1'", ()),
+    "pascal-row-needs": (["pascal", "--row", "--n", "2"], 2, "pascal: --row needs --q", ()),
     "pascal-grid-n": (["pascal", "--table", "--n", "5"], 2,
-                      "pascal: --table takes --nmax, not --n", ()),
+                      "pascal: --table does not take --n", ()),
     "pascal-sweep-q": (["pascal", "--identity-sweep", "--q", "9"], 2,
-                       "pascal: --identity-sweep takes --qmax, not --q", ()),
+                       "pascal: --identity-sweep does not take --q", ()),
+    "pascal-sweep-out": (["pascal", "--identity-sweep", "--out", "{tmp}/a.json"], 2,
+                         "pascal: --identity-sweep does not take --out", ()),
+    "pascal-table-q-qmax": (["pascal", "--table", "--q", "3", "--qmax", "9"], 2,
+                            "pascal: --qmax is read only without --q", ()),
     "pascal-grid-range": (["pascal", "--table", "--qmax", "1"], 2,
-                          "pascal: need --qmax >= 2 and --nmax >= 0", ()),
-    "pascal-q-range": (["pascal", "--table", "--q", "0"], 2, "pascal: q must be >= 2", ()),
+                          "sigmac pascal: error: argument --qmax: need integers >= 2, got '1'",
+                          ()),
+    "pascal-q-range": (["pascal", "--table", "--q", "0"], 2,
+                       "sigmac pascal: error: argument --q: need integers >= 2, got '0'", ()),
     "pascal-library-error": (
         ["pascal", "--identity-sweep", "--qmax", "2", "--nmax", "2"], 1,
         "pascal: an analytic bound lies within the 40-digit brackets of pi and e",
@@ -734,7 +747,9 @@ REFUSALS = {
                           "construct: n=8 exceeds the 3^n enumeration limit (5); "
                           "raise --limit-z to override", ()),
     "construct-value-error": (["construct", "--method", "trivial", "--out", "{tmp}/a.json"], 2,
-                              "construct: --n is required", ()),
+                              "construct: --method trivial needs --n", ()),
+    "construct-needs": (["construct", *KRONECKER_SEARCH[:-4], "--out", "{tmp}/a.json"], 2,
+                        "construct: --method kronecker needs --r", ()),
     "simulate-load": (["simulate", "--in", "{tmp}/missing.json"], 2,
                       "simulate: cannot load artifact: [Errno 2] No such file or directory: "
                       "'{tmp}/missing.json'", ()),
@@ -742,9 +757,13 @@ REFUSALS = {
                          "simulate: n=3 exceeds the 2^n decoding limit (2); "
                          "raise --limit-u to override", ()),
     "simulate-t-range": (["simulate", "--in", "{tmp}/triv.json", "--t", "4"], 2,
-                         "simulate: need 0 <= t <= k = 3 and --rounds >= 0", ()),
+                         "simulate: need 0 <= t <= k = 3", ()),
     "simulate-rounds-range": (["simulate", "--in", "{tmp}/triv.json", "--rounds", "-1"], 2,
-                              "simulate: need 0 <= t <= k = 3 and --rounds >= 0", ()),
+                              "sigmac simulate: error: argument --rounds: need integers >= 0, "
+                              "got '-1'", ()),
+    "simulate-random-limit-z": (["simulate", "--in", "{tmp}/triv.json", "--limit-z", "1"], 2,
+                                "simulate: --error-mode random-positions-random-values "
+                                "does not take --limit-z", ()),
     "simulate-limit-z": (["simulate", "--in", "{tmp}/triv.json", "--limit-z", "2",
                           "--error-mode", "worst-case-from-witness"], 2,
                          "simulate: n=3 exceeds the 3^n enumeration limit (2); "
@@ -753,7 +772,11 @@ REFUSALS = {
                            "--error-mode", "worst-case-from-witness"], 2,
                           "simulate: the matrix does not tolerate the artifact's design_t = 0", ()),
     "bounds-value-error": (["bounds", "--n", "1", "--q", "2"], 2,
-                           "bounds: need n >= 2 and q >= 2", ()),
+                           "sigmac bounds: error: argument --n: need integers >= 2, got '1'", ()),
+    "bounds-t-and-tau": (["bounds", "--n", "64", "--t", "0", "--tau", "0.1"], 2,
+                         "sigmac bounds: error: argument --tau: not allowed with argument --t", ()),
+    "bounds-empty-list": (["bounds", "--n", ","], 2,
+                          "sigmac bounds: error: argument --n: need integers >= 2, got ','", ()),
     "unwritable-out": (["bounds", "--n", "1024", "--out", "{tmp}/missing/b.txt"], 2,
                        "bounds: cannot write {tmp}/missing/b.txt: No such file or directory", ()),
 }
@@ -770,6 +793,74 @@ def test_each_refusal_exits_with_its_one_line(refusal_dir, capsys, monkeypatch, 
     assert not (refusal_dir / "a.json").exists()
 
 
+def _subparser(subcommand):
+    """The parser of one subcommand, as build_parser() declares it."""
+    return next(a for a in cli.build_parser()._actions if a.dest == "subcommand").choices[subcommand]
+
+
+# For each mode of cli.MODES, an argv that the mode accepts; "{tmp}" stands
+# for refusal_dir.
+MODE_ARGV = {
+    ("pascal", "--row"): ["--row", "--q", "3", "--n", "2", "--out", "{tmp}/out.txt"],
+    ("pascal", "--table"): ["--table", "--nmax", "1", "--out", "{tmp}/out.txt"],
+    ("pascal", "--identity-sweep"): ["--identity-sweep", "--qmax", "2", "--nmax", "1"],
+    **{("construct", f"--method {argv[1]}"): [*argv, "--out", "{tmp}/out.txt"]
+       for argv in (TRIVIAL, RS, RANDOM, KRONECKER)},
+    **{("simulate", f"--error-mode {mode}"): ["--in", "{tmp}/triv.json", "--rounds", "3",
+                                             "--error-mode", mode]
+       for mode in (core.RANDOM_ERRORS, core.WORST_CASE_ERRORS)},
+}
+
+
+def _unread_options():
+    """One case for each mode and each optional option of the parser that it does not read."""
+    cases = []
+    for (subcommand, mode), (required, optional) in cli.MODES.items():
+        selectors = {other.split()[0] for sub, other in cli.MODES if sub == subcommand}
+        for action in _subparser(subcommand)._actions:
+            for option in action.option_strings:
+                if not (action.required or action.dest == "help" or option in selectors
+                        or option in f"{required} {optional}".split()):
+                    value = action.choices[0] if action.choices else "2"
+                    cases.append(pytest.param(subcommand, mode, option, value,
+                                              id=f"{subcommand} {mode} {option}"))
+    return cases
+
+
+def test_the_option_table_names_every_mode_and_option():
+    assert set(MODE_ARGV) == set(cli.MODES)
+    for subcommand in {sub for sub, _ in cli.MODES}:
+        modes = {mode for sub, mode in cli.MODES if sub == subcommand}
+        selectors = {mode.split()[0] for mode in modes}
+        options, selectable = set(), set()
+        for action in _subparser(subcommand)._actions:
+            options.update(action.option_strings)
+            if action.option_strings[0] in selectors:
+                selectable.update([f"{action.option_strings[0]} {c}" for c in action.choices]
+                                  if action.choices else action.option_strings)
+        assert selectable == modes
+        for mode in modes:
+            assert set(" ".join(cli.MODES[subcommand, mode]).split()) <= options
+
+
+@pytest.mark.parametrize("subcommand, mode, option, value", _unread_options())
+def test_each_mode_refuses_each_option_it_does_not_read(refusal_dir, capsys, subcommand, mode,
+                                                        option, value):
+    out = refusal_dir / "out.txt"
+    argv = [subcommand, *MODE_ARGV[subcommand, mode], option,
+            str(out) if option == "--out" else value]
+    capsys.readouterr()
+    assert run([arg.replace("{tmp}", str(refusal_dir)) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"{subcommand}: {mode} does not take {option}\n")
+    assert not out.exists()
+
+
+def test_each_mode_argv_is_accepted(refusal_dir, capsys):
+    for (subcommand, mode), argv in MODE_ARGV.items():
+        assert run([subcommand, *[arg.replace("{tmp}", str(refusal_dir)) for arg in argv]]) == 0
+    capsys.readouterr()
+
+
 BIG = str(10 ** 400)
 
 
@@ -781,7 +872,10 @@ BIG = str(10 ** 400)
     ["construct", "--method", "random", "--n", "3", "--q", BIG, "--t", "0"],
     ["pascal", "--row", "--q", BIG, "--n", "1"],
     ["pascal", "--table", "--q", BIG, "--nmax", "1"],
-], ids=["bounds-q", "bounds-t", "bounds-n", "random-t", "random-q", "row-q", "table-q"])
+    # a row of 2^61 entries: its list is refused before anything is allocated
+    ["pascal", "--row", "--q", str(2 ** 62), "--n", "1"],
+], ids=["bounds-q", "bounds-t", "bounds-n", "random-t", "random-q", "row-q", "table-q",
+        "row-q-2-62"])
 def test_huge_integer_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "a.json"
     if argv[0] == "construct":
@@ -793,13 +887,14 @@ def test_huge_integer_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_a_table_refused_part_way_leaves_no_file(tmp_path, capsys):
-    # the header and row 0 are written before row 1 overflows
+    # row 1 overflows, and it is built before the header and row 0 are written
     out = tmp_path / "part.csv"
-    assert run(["pascal", "--table", "--q", BIG, "--nmax", "1", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("pascal: ")
-    assert not out.exists()
+    for target in (["--out", str(out)], []):
+        assert run(["pascal", "--table", "--q", BIG, "--nmax", "1", *target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("pascal: ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, start", [
@@ -807,7 +902,7 @@ def test_a_table_refused_part_way_leaves_no_file(tmp_path, capsys):
     (["construct", *TRIVIAL], "sigmac construct: error: the following arguments are required: "
                               "--out"),
     (["construct", "--method", "random", "--n", "3", "--tau", "-1/3", "--out", "a.json"],
-     "sigmac construct: error: argument --tau: expected one argument"),
+     "construct: tau must be >= 0\n"),
     (["bounds", "--n", "10", "--q", "2", "--tau", "1/0"],
      "sigmac bounds: error: argument --tau: zero denominator in '1/0'"),
     (["bounds", "--n", "10", "--tau", "nan"], "sigmac bounds: error: argument --tau: invalid "),
