@@ -12,6 +12,7 @@ flagged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -31,6 +32,8 @@ class ConstantT:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("t must be >= 0")
+        if self.t > sys.float_info.max:
+            raise ValueError("t is too large for the floating-point length bounds")
 
     def describe(self) -> tuple[str, float]:
         return "constant-t", float(self.t)

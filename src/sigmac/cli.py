@@ -125,33 +125,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="build a code and write its JSON artifact")
     p_con.add_argument("--method", required=True,
                        choices=["trivial", "rs-augment", "random", "kronecker"])
-    p_con.add_argument("--q", type=int)
-    p_con.add_argument("--n", type=int)
-    p_con.add_argument("--k", type=int, help="length override")
-    p_con.add_argument("--t", type=int)
+    p_con.add_argument("--q", type=_at_least(2))
+    p_con.add_argument("--n", type=_at_least(1))
+    p_con.add_argument("--k", type=_at_least(1), help="length override")
+    p_con.add_argument("--t", type=_at_least(0))
     p_con.add_argument("--tau", type=_parse_fraction,
                        help="linear error fraction (t becomes floor(tau * k))")
     p_con.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_con.add_argument("--max-attempts", type=int)
+    p_con.add_argument("--max-attempts", type=_at_least(1))
     p_con.add_argument("--epsilon", type=_parse_fraction, help="total slack, e.g. 1/16")
-    p_con.add_argument("--p", type=int, help="inner matrix rows")
-    p_con.add_argument("--s", type=int, help="inner matrix columns")
-    p_con.add_argument("--r", type=int, help="outer code dimension")
+    p_con.add_argument("--p", type=_at_least(1), help="inner matrix rows")
+    p_con.add_argument("--s", type=_at_least(1), help="inner matrix columns")
+    p_con.add_argument("--r", type=_at_least(1), help="outer code dimension")
     p_con.add_argument("--outer", choices=["search", "repetition"])
-    p_con.add_argument("--c1", type=int, help="outer length multiplier override")
-    p_con.add_argument("--inner-t", type=int, help="override the planned inner error tolerance")
-    p_con.add_argument("--limit-z", type=int, help="3^n verification budget")
+    p_con.add_argument("--c1", type=_at_least(1), help="outer length multiplier override")
+    p_con.add_argument("--inner-t", type=_at_least(0),
+                       help="override the planned inner error tolerance")
+    p_con.add_argument("--limit-z", type=_at_least(0), help="3^n verification budget")
     p_con.add_argument("--out", required=True)
 
     p_sim = sub.add_parser("simulate", help="round-trip an artifact under adversarial errors")
     p_sim.add_argument("--in", dest="artifact", required=True)
     p_sim.add_argument("--rounds", type=_at_least(0), default=100)
-    p_sim.add_argument("--t", type=int, help="error budget override")
+    p_sim.add_argument("--t", type=_at_least(0), help="error budget override")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--error-mode", default=core.RANDOM_ERRORS,
                        choices=[core.RANDOM_ERRORS, core.WORST_CASE_ERRORS])
-    p_sim.add_argument("--limit-z", type=int)
-    p_sim.add_argument("--limit-u", type=int)
+    p_sim.add_argument("--limit-z", type=_at_least(0))
+    p_sim.add_argument("--limit-u", type=_at_least(0))
 
     p_bounds = sub.add_parser("bounds", help="tabulate converse/achievability lengths")
     p_bounds.add_argument("--n", required=True, type=_at_least(2, many=True),

@@ -50,6 +50,7 @@ from .core import (
 )
 from .errors import AmbiguousDecoding, ConstructionFailure, DecodingFailure
 from .linear import (
+    MR_EXACT_BELOW,
     BinaryLinearCode,
     PrimeField,
     RSCodec,
@@ -57,7 +58,6 @@ from .linear import (
     integer_lift_decode,
     repetition_code,
     rs_decode,
-    rs_encode,
     smallest_prime_above,
 )
 
@@ -199,6 +199,9 @@ def rs_augment(base: SignatureMatrix, t: int) -> AugmentedCode:
         raise ValueError("t must be >= 1; use the base matrix directly for t = 0")
     k_lin = base.k
     n_rs = k_lin + 2 * t
+    if n_rs > MR_EXACT_BELOW:
+        raise ValueError("t is too large: the field needs a prime above k + 2t - 1, "
+                         "beyond the exact primality test")
     value_cap = base.n * (base.q - 1)
     q_rs = smallest_prime_above(max(value_cap, n_rs - 1))
     bit_width = q_rs.bit_length()
@@ -206,7 +209,8 @@ def rs_augment(base: SignatureMatrix, t: int) -> AugmentedCode:
     parity_rows = [[0] * base.n for _ in range(2 * t * bit_width)]
     for col in range(base.n):
         column = [base.rows[i][col] for i in range(k_lin)]
-        codeword = rs_encode(codec, column)
+        # A base entry is an int below q <= q_RS, so rs_encode's checks would pass.
+        codeword = codec._codeword(column)
         for j, symbol in enumerate(codeword[k_lin:]):
             for b in range(bit_width):
                 parity_rows[j * bit_width + b][col] = (symbol >> b) & 1
@@ -358,6 +362,10 @@ def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult
     if p < 1 or s < 1:
         raise ValueError("need p >= 1 and s >= 1")
     target = 2 * t_inner + 1
+    # q >= 2, so q^(p*s) >= 2^(p*s): refused before the power is formed.
+    if p * s > INNER_SEARCH_SPACE.bit_length():
+        raise ValueError(f"q^(p*s) with p*s = {p * s} exceeds the exhaustive budget "
+                         f"{INNER_SEARCH_SPACE}; choose a smaller --p or --s")
     space = q ** (p * s)
     if space > INNER_SEARCH_SPACE:
         raise ValueError(

@@ -75,11 +75,7 @@ class SignatureMatrix:
         return len(self.rows[0])
 
     def column(self, j: int) -> tuple[int, ...]:
-        return self._columns[j]
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.rows))
+        return tuple(row[j] for row in self.rows)
 
     @cached_property
     def _half_tables(self) -> "_HalfTables":
@@ -120,26 +116,17 @@ class VerificationReport:
     z_count_checked: int
 
 
-def _check_info_vector(u: Sequence[int], n: int) -> None:
-    if len(u) != n:
-        raise ValueError(f"activity vector length {len(u)} != n = {n}")
-    if any(b not in (0, 1) for b in u):
-        raise ValueError("activity vector entries must be 0 or 1")
-
-
 def encode(matrix: SignatureMatrix, u: Sequence[int]) -> ChannelWord:
     """Noiseless channel output M u over the integers."""
-    _check_info_vector(u, matrix.n)
-    active = [column for column, b in zip(matrix._columns, u) if b]
-    if not active:
-        return (0,) * matrix.k
-    return tuple(map(sum, zip(*active)))
+    bits = _activity_vectors([u], matrix.n)[0].tolist()
+    return tuple(sum(v for v, b in zip(row, bits) if b) for row in matrix.rows)
 
 
 def apply_errors(y: Sequence[int], errors: ErrorPattern) -> ChannelWord:
     """Add a sparse integer error pattern; values are unrestricted in magnitude."""
-    out = list(y)
-    for pos, val in errors.items():
+    out = _integer_batch([y], len(y))[0].tolist()
+    positions, values = _integer_batch([list(errors), list(errors.values())], len(errors)).tolist()
+    for pos, val in zip(positions, values):
         if not 0 <= pos < len(out):
             raise ValueError(f"error position {pos} outside word of length {len(out)}")
         if val == 0:
@@ -332,31 +319,20 @@ def _check_u_limit(n: int, limit: int | None) -> None:
         raise CapacityError(f"n={n} exceeds the 2^n decoding limit ({budget})", "u")
 
 
-def _received_symbol(value, cap: int) -> int:
-    """`value` as an int in [0, cap], or -1 when it equals no such int.
-
-    Every entry of M u lies in [0, cap], so a value outside that range (a
-    negative one, one above cap, a non-integer) matches no candidate, and -1
-    stands for all of them without overflowing a fixed-width array.
-    """
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return -1
-    return whole if whole == value and 0 <= whole <= cap else -1
-
-
 _NOT_A_BATCH = "a batch of words is expected: a 2-D array or a list of words; one word y is [y]"
 
 
-def _as_batch(words, length: int):
-    """`words`, a 2-D array or a sequence of equal-length words, as a 2-D array.
+def _integer_batch(words, length: int):
+    """`words`, a 2-D array or a sequence of equal-length words, as a 2-D integer array.
 
-    Integer entries are held as int64 where numpy infers an integer type;
-    any other entry (a float, an int beyond 64 bits, which numpy would round
-    to a float) keeps its Python value in an object array.  `length` is the
-    row length of an empty batch.  One bare word, a 1-D array or a sequence
-    of entries, raises ValueError: a single word y is the batch [y].
+    Every word, vector, error value and message the channel model takes in
+    is read here.  Entries are held as int64 where numpy infers an integer
+    type, and as Python ints in an object array otherwise (an int beyond 64
+    bits, which numpy would round to a float).  Any other entry raises
+    ValueError: a float or a string is no symbol the channel sends, and
+    truncated it would decode as a nearby integer.  `length` is the row
+    length of an empty batch.  One bare word, a 1-D array or a sequence of
+    entries, raises ValueError: a single word y is the batch [y].
     """
     # Imported here, not with the module: only decoding needs numpy, and its
     # import costs a fresh process about 0.15 s.
@@ -378,28 +354,24 @@ def _as_batch(words, length: int):
             return np.zeros((0, length), dtype=np.int64)
         batch = np.array(words)
         if batch.dtype.kind not in "bi":
-            return np.array(words, dtype=object)
-    return batch.astype(np.int64 if batch.dtype.kind in "bi" else object, copy=False)
-
-
-def _integer_batch(words, length: int):
-    """_as_batch for the decoders that do integer arithmetic on every entry.
-
-    A float or any other non-integer entry raises ValueError: truncated, it
-    would decode as a nearby integer the channel never sent.  The entries of
-    an object batch become Python ints, which numpy integers mixed in with
-    them would not be.
-    """
-    import numpy as np
-
-    batch = _as_batch(words, length)
-    if batch.dtype != object:
-        return batch
+            batch = np.array(words, dtype=object)
+    if batch.dtype.kind in "bi":
+        return batch.astype(np.int64, copy=False)
     values = batch.ravel().tolist()
     for value in values:
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"received entry {value!r} is not an integer")
     return np.array([int(value) for value in values], dtype=object).reshape(batch.shape)
+
+
+def _activity_vectors(u, n: int):
+    """`u`, a batch of activity vectors, read by _integer_batch; each must be in {0,1}^n."""
+    batch = _integer_batch(u, n)
+    if batch.shape[1] != n:
+        raise ValueError(f"activity vector length {batch.shape[1]} != n = {n}")
+    if ((batch != 0) & (batch != 1)).any():
+        raise ValueError("activity vector entries must be 0 or 1")
+    return batch
 
 
 class _HalfTables(NamedTuple):
@@ -413,19 +385,15 @@ class _HalfTables(NamedTuple):
 
 
 def _received_symbols(words, cap: int, dtype):
-    """A 2-D array of received words as _received_symbol rows in `dtype`."""
+    """An integer batch of received words in `dtype`, each entry outside [0, cap] as -1.
+
+    Every entry of M u lies in [0, cap], so a value outside it (a negative
+    one, one above cap) matches no candidate, and -1 stands for all of them
+    without overflowing a fixed-width array.
+    """
     import numpy as np
 
-    if words.dtype.kind in "iu":
-        whole = (words >= 0) & (words <= cap)
-        symbols = np.where(whole, words, 0).astype(dtype)
-        symbols[~whole] = -1
-        return symbols
-    # An int already in [0, cap] is its own symbol; only the rest, such as
-    # floats and values an error pushed out of range, need _received_symbol.
-    symbols = np.array([[v if type(v) is int and 0 <= v <= cap else _received_symbol(v, cap)
-                         for v in word] for word in words.tolist()], dtype=dtype)
-    return symbols.reshape(words.shape)
+    return np.where((words >= 0) & (words <= cap), words, -1).astype(dtype)
 
 
 def _min_distance_search(received, matrix: SignatureMatrix, t: int) -> list:
@@ -500,7 +468,7 @@ def decode_min_distance(words, matrix: SignatureMatrix, t: int,
     """
     n, k = matrix.n, matrix.k
     _check_u_limit(n, limit)
-    batch = _as_batch(words, k)
+    batch = _integer_batch(words, k)
     if batch.shape[1] != k:
         raise ValueError(f"received word length {batch.shape[1]} != k = {k}")
     tables = matrix._half_tables
@@ -598,11 +566,7 @@ def simulate_round(matrix: SignatureMatrix, u, t: int, error_mode: str, seed,
     """
     import numpy as np
 
-    u = _as_batch(u, matrix.n)
-    if u.shape[1] != matrix.n:
-        raise ValueError(f"activity vector length {u.shape[1]} != n = {matrix.n}")
-    if ((u != 0) & (u != 1)).any():
-        raise ValueError("activity vector entries must be 0 or 1")
+    u = _activity_vectors(u, matrix.n)
     if len(seed) != len(u):
         raise ValueError(f"{len(seed)} seeds for {len(u)} rounds")
     if t < 0 or t > matrix.k:

@@ -162,11 +162,16 @@ class RSCodec:
     def radius(self) -> int:
         return (self.n_rs - self.k_rs) // 2
 
-    def _check_elements(self, vec: Sequence[int]):
-        p = self.field.p
-        for v in vec:
-            if not 0 <= v < p:
-                raise ValueError(f"element {v} outside F_{p}")
+    def _codeword(self, message: list[int]) -> list[int]:
+        """rs_encode of a message already read and checked, such as a base matrix column."""
+        parities = []
+        for j in range(self.n_rs - self.k_rs):
+            acc = 0
+            for i, m in enumerate(message):
+                if m:
+                    acc += m * self._parity_matrix[i][j]
+            parities.append(acc % self.field.p)
+        return message + parities
 
     @cached_property
     def _dtype(self):
@@ -181,20 +186,20 @@ class RSCodec:
         return np.array(self._checks, dtype=self._dtype).reshape(-1, self.n_rs)
 
 
+def _check_field(codec: RSCodec, words) -> None:
+    """Refuse a batch read by core._integer_batch that holds an entry outside F_p."""
+    p = codec.field.p
+    if len(words) and (words.min() < 0 or words.max() >= p):
+        raise ValueError(f"element {words[(words < 0) | (words >= p)][0]} outside F_{p}")
+
+
 def rs_encode(codec: RSCodec, message: Sequence[int]) -> list[int]:
     """Systematic codeword: the message followed by n_rs - k_rs parity symbols."""
-    if len(message) != codec.k_rs:
-        raise ValueError(f"message length {len(message)} != k_rs = {codec.k_rs}")
-    codec._check_elements(message)
-    p = codec.field.p
-    parities = []
-    for j in range(codec.n_rs - codec.k_rs):
-        acc = 0
-        for i, m in enumerate(message):
-            if m:
-                acc += m * codec._parity_matrix[i][j]
-        parities.append(acc % p)
-    return list(message) + parities
+    words = _integer_batch([message], codec.k_rs)
+    if words.shape[1] != codec.k_rs:
+        raise ValueError(f"message length {words.shape[1]} != k_rs = {codec.k_rs}")
+    _check_field(codec, words)
+    return codec._codeword(words[0].tolist())
 
 
 def rs_decode(codec: RSCodec, received) -> list:
@@ -222,9 +227,8 @@ def rs_decode(codec: RSCodec, received) -> list:
     words = _integer_batch(received, n)
     if words.shape[1] != n:
         raise ValueError(f"received length {words.shape[1]} != n_rs = {n}")
+    _check_field(codec, words)
     p = codec.field.p
-    if len(words) and (words.min() < 0 or words.max() >= p):
-        raise ValueError(f"element {words[(words < 0) | (words >= p)][0]} outside F_{p}")
     words = words.astype(codec._dtype)
     checks = codec._check_array
     syndromes = words @ checks.T % p

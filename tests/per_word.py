@@ -18,12 +18,33 @@ from sigmac.core import (
     InfoVector,
     SignatureMatrix,
     _check_u_limit,
-    _received_symbol,
     apply_errors,
     encode,
 )
 from sigmac.errors import AmbiguousDecoding, DecodingFailure
 from sigmac.linear import BinaryLinearCode, RSCodec, _nearest_codeword
+
+
+def received_symbol(value, cap: int) -> int:
+    """`value` as an int in [0, cap], or -1 when it equals no such int.
+
+    The rule decode_min_distance once applied entry by entry: every entry
+    of M u lies in [0, cap], so a value outside that range (a negative one,
+    one above cap, a non-integer) matches no candidate.
+    """
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return -1
+    return whole if whole == value and 0 <= whole <= cap else -1
+
+
+def check_elements(codec: RSCodec, vec: Sequence[int]) -> None:
+    """Refuse a word with an entry outside F_p, one entry at a time."""
+    p = codec.field.p
+    for v in vec:
+        if not 0 <= v < p:
+            raise ValueError(f"element {v} outside F_{p}")
 
 
 def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
@@ -36,8 +57,7 @@ def decode_min_distance(y: Sequence[int], matrix: SignatureMatrix, t: int,
         raise ValueError(f"received word length {len(y)} != k = {k}")
     _check_u_limit(n, limit)
     cap, dtype, h, left_sums, right = matrix._half_tables
-    received = np.array([v if type(v) is int and 0 <= v <= cap else _received_symbol(v, cap)
-                         for v in y], dtype=dtype)
+    received = np.array([received_symbol(v, cap) for v in y], dtype=dtype)
     left = received[:, None] - left_sums
     width = right.shape[1]
     step = max(1, core.DECODE_BLOCK // (k * width))
@@ -89,7 +109,7 @@ def rs_decode(codec: RSCodec, received: Sequence[int]) -> list[int]:
     n, k = codec.n_rs, codec.k_rs
     if len(received) != n:
         raise ValueError(f"received length {len(received)} != n_rs = {n}")
-    codec._check_elements(received)
+    check_elements(codec, received)
     p = codec.field.p
     syndromes = _syndromes(codec, received)
     if not any(syndromes):

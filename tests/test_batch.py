@@ -73,12 +73,12 @@ def test_plain_batch_matches_per_word(seed, size, q, n, k, t, as_array):
     matrix = random_matrix(rng, q, k, n)
     cap = n * (q - 1)
     # An offset error, or a value no M u can equal: negative, above
-    # n(q-1), beyond 64 bits or not an integer.
+    # n(q-1) or beyond 64 bits.
     values = [lambda v: v + rng.randint(-3, 3), lambda v: v + 1,
-              -1, cap + 1, 10**30, -10**30, 0.5, float(cap)]
+              -1, cap + 1, 10**30, -10**30]
     words = noisy_words(rng, matrix, size, 3, values)
     code = cons.PlainCode(matrix, 0, {"kind": "matrix"})
-    batch = core._as_batch(words, k) if as_array else words
+    batch = core._integer_batch(words, k) if as_array else words
     got = [as_outcome(o) for o in code.decode_batch(batch, t)]
     assert got == per_word_outcomes(per_word.decoder(code, t), words)
     for result in got:
@@ -119,7 +119,7 @@ def test_rs_decode_batch_matches_per_word(seed, size, p, k, t):
         for pos in rng.sample(range(codec.n_rs), rng.randint(0, t + 2)):
             word[pos] = rng.randrange(p)
         words.append(word)
-    got = [as_outcome(o) for o in rs_decode(codec, core._as_batch(words, codec.n_rs))]
+    got = [as_outcome(o) for o in rs_decode(codec, core._integer_batch(words, codec.n_rs))]
     assert got == [per_word.outcome(lambda w: per_word.rs_decode(codec, w), w) for w in words]
 
 
@@ -184,7 +184,7 @@ def test_integer_lift_batch_matches_per_word(code, seed, size, w_max):
     outer = code.outer
     words = [tuple(rng.choice([rng.randint(-9, 9), 2**64 + 3]) for _ in range(outer.N))
              for _ in range(size)]
-    got = integer_lift_decode(outer, core._as_batch(words, outer.N), w_max)
+    got = integer_lift_decode(outer, core._integer_batch(words, outer.N), w_max)
     assert got.shape == (size, outer.K)
     assert [tuple(row) for row in got.tolist()] == \
         [per_word.integer_lift_decode(outer, word, w_max) for word in words]
@@ -195,27 +195,8 @@ TINY_KRONECKER = cons.kronecker_compose(
     SignatureMatrix(q=2, rows=((1, 0), (1, 1))), t_inner=0)
 
 
-@pytest.mark.parametrize("entry", [1.0, 2.5, float("nan")])
-def test_structured_decoders_reject_non_integer_entries(entry):
-    """A float would be truncated to a symbol the channel never sent."""
-    rs, kron = RS_CODES[0], TINY_KRONECKER
-    calls = [
-        (lambda word: rs.decode_batch([word], rs.t), rs.matrix.k),
-        (lambda word: cons.rs_augmented_decode(rs, [word]), rs.matrix.k),
-        (lambda word: kron.decode_batch([word], 0), kron.matrix.k),
-        (lambda word: cons.kronecker_decode(kron, [word]), kron.matrix.k),
-        (lambda word: rs_decode(rs.codec, [word]), rs.codec.n_rs),
-        (lambda word: integer_lift_decode(kron.outer, [word], 2), kron.outer.N),
-    ]
-    for decode, length in calls:
-        for pos in (0, length - 1):
-            word = [0] * length
-            word[pos] = entry
-            with pytest.raises(ValueError, match="is not an integer"):
-                decode(word)
-
-
 PLAIN = cons.PlainCode(SignatureMatrix(q=2, rows=((1, 0, 1), (0, 1, 1))), 0, {})
+
 
 # Every decoder of a batch, and simulate_round, with the length of its words.
 BATCH_CALLS = {
@@ -252,6 +233,52 @@ def test_a_bare_word_is_not_a_batch(name, as_array):
 def test_an_empty_batch_gives_no_outcomes(name):
     call, _ = BATCH_CALLS[name]
     assert len(call([])) == 0
+
+
+# The entry points that read one activity vector, word, error pattern or RS
+# message, with the length of what each reads.
+SINGLE_CALLS = {
+    "encode": (lambda u: encode(PLAIN.matrix, u), 3),
+    "apply_errors word": (lambda y: core.apply_errors(y, {0: 1}), 3),
+    "apply_errors values": (lambda values: core.apply_errors((0, 0, 0), dict(zip((0, 2), values))),
+                            2),
+    "apply_errors positions": (lambda positions: core.apply_errors(
+        (0, 0, 0), dict.fromkeys(positions, 1)), 2),
+    "rs_encode": (lambda message: rs_encode(RS_CODES[0].codec, message), RS_CODES[0].codec.k_rs),
+}
+
+
+@pytest.mark.parametrize("entry", [1.0, 2.5, float("nan"), "a", None], ids=repr)
+@pytest.mark.parametrize("name", [*BATCH_CALLS, *SINGLE_CALLS])
+def test_every_reader_refuses_a_non_integer_entry(name, entry):
+    """A float would be truncated to a symbol the channel never sent, or match nothing."""
+    call, length = {**BATCH_CALLS, **SINGLE_CALLS}[name]
+    for pos in (0, length - 1):
+        word = [0] * length
+        word[pos] = entry
+        with pytest.raises(ValueError) as refused:
+            call([word] if name in BATCH_CALLS else word)
+        assert str(refused.value) == f"received entry {entry!r} is not an integer"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cap=st.one_of(st.integers(0, 300), st.integers(0, 2**70)),
+       kind=st.sampled_from(["int64", "uint64", "object"]), data=st.data())
+def test_received_symbols_match_the_per_entry_rule(cap, kind, data):
+    """The one vectorised step equals the per-entry rule on every batch the reader gives."""
+    low, high = {"int64": (-2**63, 2**63 - 1), "uint64": (0, 2**64 - 1),
+                 "object": (-2**100, 2**100)}[kind]
+    edges = [v for v in (-10**30, -1, 0, cap, cap + 1, 10**30, low, high) if low <= v <= high]
+    entries = st.one_of(st.integers(low, high), st.integers(-2, cap + 2).filter(
+        lambda v: low <= v <= high), st.sampled_from(edges))
+    width = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=4))
+    batch = np.array(rows, dtype={"int64": np.int64, "uint64": np.uint64,
+                                  "object": object}[kind]).reshape(len(rows), width)
+    dtype = np.min_scalar_type(-1 - cap)     # as SignatureMatrix._half_tables takes it
+    symbols = core._received_symbols(core._integer_batch(batch, width), cap, dtype)
+    assert symbols.dtype == dtype
+    assert symbols.tolist() == [[per_word.received_symbol(v, cap) for v in row] for row in rows]
 
 
 def test_decode_batch_checks_the_2n_limit_before_any_word():

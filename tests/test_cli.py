@@ -318,11 +318,13 @@ def test_construct_kronecker_rejects_bad_epsilon(tmp_path, capsys):
                 "--out", str(tmp_path / "x.json")])
     assert code == 2
     assert "eps1" in capsys.readouterr().err
-    # --n 0 reaches the library's check; only a missing --n is reported as such
-    for n, message in ((["--n", "0"], "need n >= 1"), ([], "--method trivial needs --n")):
+    # argparse refuses --n 0; only a missing --n is reported as such
+    for n, message in ((["--n", "0"], "sigmac construct: error: argument --n: need integers "
+                                      ">= 1, got '0'"),
+                       ([], "construct: --method trivial needs --n")):
         assert run(["construct", "--method", "trivial", *n,
                     "--out", str(tmp_path / "t.json")]) == 2
-        assert capsys.readouterr().err == f"construct: {message}\n"
+        assert capsys.readouterr().err == f"{message}\n"
 
 
 def test_simulate_worst_case_over_budget(tmp_path, capsys):
@@ -577,20 +579,28 @@ def test_construct_defaults_apply_when_unset(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_construct_kronecker_inner_space_above_budget(tmp_path, capsys):
-    argv = ["construct", "--method", "kronecker", "--q", "3", "--epsilon", "1/16",
-            "--p", "4", "--s", "3", "--r", "1", "--outer", "repetition", "--c1", "6",
-            "--inner-t", "1", "--out", str(tmp_path / "k.json")]
-    assert run(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "construct: q^(p*s) = 531441 exceeds the exhaustive budget 300000; "
-        "choose a smaller --p or --s"]
+@pytest.mark.parametrize("p, s, space", [
+    ("4", "3", "q^(p*s) = 531441"),
+    # p*s alone puts the space over the budget, and the power is not formed
+    ("100", "10", "q^(p*s) with p*s = 1000"),
+    ("1000", "10", "q^(p*s) with p*s = 10000"),
+])
+def test_construct_kronecker_inner_space_above_budget(tmp_path, capsys, p, s, space):
+    out = tmp_path / "k.json"
+    assert run(["construct", "--method", "kronecker", "--q", "3", "--epsilon", "1/16",
+                "--p", p, "--s", s, "--r", "1", "--outer", "repetition", "--c1", "6",
+                "--inner-t", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"construct: {space} exceeds the exhaustive budget 300000; "
+            "choose a smaller --p or --s\n")
+    assert not out.exists()
 
 
 def test_construct_kronecker_negative_inner_t(tmp_path, capsys):
     out = tmp_path / "k.json"
     assert run(["construct", *KRONECKER[:-1], "-1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "construct: t_inner must be >= 0, got -1\n"
+    assert capsys.readouterr().err == \
+        "sigmac construct: error: argument --inner-t: need integers >= 0, got '-1'\n"
     assert not out.exists()
 
 
@@ -613,7 +623,30 @@ def test_max_attempts_below_one_is_usage_error(tmp_path, capsys, attempts):
     out = tmp_path / "r.json"
     assert run(["construct", "--method", "random", "--n", "6", "--q", "3", "--k", "10",
                 "--max-attempts", attempts, "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"construct: max_attempts must be >= 1, got {attempts}\n")
+    assert capsys.readouterr() == (
+        "", f"sigmac construct: error: argument --max-attempts: need integers >= 1, "
+            f"got '{attempts}'\n")
+    assert not out.exists()
+
+
+# Each integer option of construct and simulate, and the least value it takes.
+INTEGER_FLOORS = [("construct", option, low) for option, low in (
+    ("--n", 1), ("--k", 1), ("--q", 2), ("--t", 0), ("--max-attempts", 1), ("--p", 1),
+    ("--s", 1), ("--r", 1), ("--c1", 1), ("--inner-t", 0), ("--limit-z", 0))] + \
+    [("simulate", option, 0) for option in ("--t", "--limit-z", "--limit-u")]
+
+
+@pytest.mark.parametrize("subcommand, option, low", INTEGER_FLOORS)
+def test_each_integer_option_refuses_a_value_below_its_floor(refusal_dir, capsys, subcommand,
+                                                             option, low):
+    """Refused by argparse, naming the option, whether or not the mode reads it."""
+    out = refusal_dir / "a.json"
+    first = ["--method", "trivial", "--out", str(out)] if subcommand == "construct" else \
+        ["--in", str(refusal_dir / "triv.json")]
+    capsys.readouterr()
+    assert run([subcommand, *first, option, str(low - 1)]) == 2
+    assert capsys.readouterr() == ("", f"sigmac {subcommand}: error: argument {option}: "
+                                       f"need integers >= {low}, got '{low - 1}'\n")
     assert not out.exists()
 
 
@@ -746,6 +779,13 @@ REFUSALS = {
     "construct-limit-z": (["construct", *RANDOM, "--limit-z", "5", "--out", "{tmp}/a.json"], 2,
                           "construct: n=8 exceeds the 3^n enumeration limit (5); "
                           "raise --limit-z to override", ()),
+    "construct-huge-t": (["construct", "--method", "random", "--n", "3", "--q", "3",
+                          "--t", str(10 ** 400), "--out", "{tmp}/a.json"], 2,
+                         "construct: t is too large for the floating-point length bounds", ()),
+    "construct-rs-huge-t": (["construct", "--method", "rs-augment", "--n", "3",
+                             "--t", str(10 ** 400), "--out", "{tmp}/a.json"], 2,
+                            "construct: t is too large: the field needs a prime above "
+                            "k + 2t - 1, beyond the exact primality test", ()),
     "construct-value-error": (["construct", "--method", "trivial", "--out", "{tmp}/a.json"], 2,
                               "construct: --method trivial needs --n", ()),
     "construct-needs": (["construct", *KRONECKER_SEARCH[:-4], "--out", "{tmp}/a.json"], 2,
@@ -775,6 +815,8 @@ REFUSALS = {
                            "sigmac bounds: error: argument --n: need integers >= 2, got '1'", ()),
     "bounds-t-and-tau": (["bounds", "--n", "64", "--t", "0", "--tau", "0.1"], 2,
                          "sigmac bounds: error: argument --tau: not allowed with argument --t", ()),
+    "bounds-huge-t": (["bounds", "--n", "10", "--q", "2", "--t", str(10 ** 400)], 2,
+                      "bounds: t is too large for the floating-point length bounds", ()),
     "bounds-empty-list": (["bounds", "--n", ","], 2,
                           "sigmac bounds: error: argument --n: need integers >= 2, got ','", ()),
     "unwritable-out": (["bounds", "--n", "1024", "--out", "{tmp}/missing/b.txt"], 2,

@@ -112,7 +112,7 @@ def decode_cases(draw):
     # An in-range value, an offset error, or a value no M u can equal.
     replacement = st.one_of(
         st.integers(0, cap),
-        st.sampled_from([-1, -5, cap + 1, cap + 7, 10**30, -10**30, 0.5, float(cap)]),
+        st.sampled_from([-1, -5, cap + 1, cap + 7, 10**30, -10**30]),
     )
     words = []
     for _ in range(draw(st.integers(1, 4))):
@@ -145,7 +145,7 @@ HUGE_Q = SignatureMatrix(q=2**64, rows=((2**63, 1), (5, 2**64 - 1)))
                SignatureMatrix(q=2, rows=((1, 1, 0), (0, 1, 1))), 0))
 @example(case=([(1, 0), (1, 1), (0, 0, 0)], identity(2), 1))  # 3 within t
 @example(case=([(-1, 10**30, 2), (1, 1, 1)], identity(3), 3))  # below 0, far above n(q-1)
-@example(case=([(2, 1.5, 0), (0, 1, 0)], identity(3), 0))      # above n(q-1), non-integer
+@example(case=([(2, 5, 0), (0, 1, 0)], identity(3), 0))        # above n(q-1)
 @example(case=([(2**63, 5), (3, 3), (2**63 + 1, 2**64)], HUGE_Q, 0))  # beyond int64
 def test_engine_matches_reference(block, case):
     words, matrix, t = case

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import per_word
 from sigmac.core import dumps_canonical
 from sigmac.errors import AmbiguousDecoding, DecodingFailure
 from sigmac.linear import (
@@ -141,7 +142,7 @@ def rs_decode_bruteforce(codec: RSCodec, received: Sequence[int],
     p, k = codec.field.p, codec.k_rs
     if p ** k > budget:
         raise ValueError("message space too large for brute force")
-    codec._check_elements(received)
+    per_word.check_elements(codec, received)
     symbols = np.arange(p, dtype=np.int32)[:, None]
     codewords = np.zeros((1, codec.n_rs), dtype=np.int32)
     for i in range(k):
@@ -283,7 +284,7 @@ def berlekamp_welch_decode(codec, received):
     n, k = codec.n_rs, codec.k_rs
     if len(received) != n:
         raise ValueError(f"received length {len(received)} != n_rs = {n}")
-    codec._check_elements(received)
+    per_word.check_elements(codec, received)
     p = codec.field.p
     t = codec.radius
     # x_i^l table for the Berlekamp-Welch system.
