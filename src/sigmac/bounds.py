@@ -24,6 +24,14 @@ LOG2_3 = math.log2(3.0)
 LOG2_PI_HALF = math.log2(math.pi / 2.0)
 
 
+def _float(name: str, value: int) -> float:
+    """An input as a float before it is scaled, so a sum or product past the largest
+    float is inf; an input past it is refused by name, without its digits."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} is too large for the floating-point length bounds")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ConstantT:
     """Error budget fixed at t symbols, independent of the code length."""
@@ -32,8 +40,7 @@ class ConstantT:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("t must be >= 0")
-        if self.t > sys.float_info.max:
-            raise ValueError("t is too large for the floating-point length bounds")
+        _float("t", self.t)
 
     def describe(self) -> tuple[str, float]:
         return "constant-t", float(self.t)
@@ -74,12 +81,12 @@ def converse_binary(n: int, t_mode: TMode) -> float:
         raise ValueError("need n >= 2")
     log_n = math.log2(n)
     if isinstance(t_mode, ConstantT):
-        return 2 * n / log_n + t_mode.t * (1 + 4 / log_n)
+        return 2 * _float("n", n) / log_n + t_mode.t * (1 + 4 / log_n)
     if t_mode.tau > 1:
         raise ValueError("tau must be <= 1 for the converse")
     if t_mode.tau == 1:
         return math.inf
-    return 2 * n / ((1 - float(t_mode.tau)) * log_n)
+    return 2 * _float("n", n) / ((1 - float(t_mode.tau)) * log_n)
 
 
 def max_correctable_fraction(q: int) -> Fraction:
@@ -145,10 +152,10 @@ def achievable_random(n: int, q: int, t_mode: TMode) -> float:
         raise ValueError("need n >= 1")
     if q < 2:
         raise ValueError("need q >= 2")
-    denom = math.log2(n) + (q - 1) * LOG2_PI_HALF
-    base = 2 * n * LOG2_3 / denom
+    denom = math.log2(n) + _float("q", q - 1) * LOG2_PI_HALF
+    base = 2 * _float("n", n) * LOG2_3 / denom
     if isinstance(t_mode, ConstantT):
-        return base + 2 * t_mode.t + 1
+        return base + 2 * float(t_mode.t) + 1
     limit = max_correctable_fraction(q)
     if Fraction(t_mode.tau) >= limit:
         raise ValueError(
@@ -168,10 +175,14 @@ def explicit_rs_length(n: int, t_mode: TMode) -> float:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    k_lin = 2 * n / math.log2(n)
-    bit_width = smallest_prime_above(n).bit_length()
+    k_lin = 2 * _float("n", n) / math.log2(n)
+    try:
+        bit_width = smallest_prime_above(n).bit_length()
+    except ValueError:
+        raise ValueError("n is too large: the field needs a prime above n, "
+                         "beyond the exact primality test") from None
     if isinstance(t_mode, ConstantT):
-        return k_lin + 2 * t_mode.t * bit_width
+        return k_lin + 2 * float(t_mode.t) * bit_width
     scale = 1 - 2 * float(t_mode.tau) * bit_width
     if scale <= 0:
         return math.inf
@@ -185,7 +196,7 @@ def kronecker_length(n: int, c1: int = 2) -> float:
     loglog = math.log2(math.log2(n))
     if loglog <= 0:
         return math.inf
-    return 8 * c1 * LOG2_3 * n / loglog
+    return 8 * c1 * LOG2_3 * _float("n", n) / loglog
 
 
 @dataclass(frozen=True)

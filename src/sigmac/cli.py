@@ -92,12 +92,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
-def _at_least(low: int, many: bool = False):
-    """An argparse type: an integer >= low, or with many, a nonempty comma-separated list."""
+def _at_least(low: Optional[int], many: bool = False):
+    """An argparse type: an integer >= low (any if low is None), or with many, a nonempty
+    comma-separated list; a refusal quotes at most 20 characters of the text, and its length."""
     def integer(text: str):
-        values = [int(part) for part in text.split(",") if part] if many else [int(text)]
-        if not values or min(values) < low:
-            raise argparse.ArgumentTypeError(f"need integers >= {low}, got {text!r}")
+        try:
+            values = [int(part) for part in text.split(",") if part] if many else [int(text)]
+        except ValueError:  # not an integer, or one past Python's digit limit
+            values = []
+        if not values or low is not None and min(values) < low:
+            shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+            floor = "" if low is None else f" >= {low}"
+            raise argparse.ArgumentTypeError(f"need integers{floor}, got {shown}")
         return values if many else values[0]
     return integer
 
@@ -131,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--t", type=_at_least(0))
     p_con.add_argument("--tau", type=_parse_fraction,
                        help="linear error fraction (t becomes floor(tau * k))")
-    p_con.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_con.add_argument("--seed", type=_at_least(None), default=DEFAULT_SEED)
     p_con.add_argument("--max-attempts", type=_at_least(1))
     p_con.add_argument("--epsilon", type=_parse_fraction, help="total slack, e.g. 1/16")
     p_con.add_argument("--p", type=_at_least(1), help="inner matrix rows")
@@ -148,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--in", dest="artifact", required=True)
     p_sim.add_argument("--rounds", type=_at_least(0), default=100)
     p_sim.add_argument("--t", type=_at_least(0), help="error budget override")
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sim.add_argument("--seed", type=_at_least(None), default=DEFAULT_SEED)
     p_sim.add_argument("--error-mode", default=core.RANDOM_ERRORS,
                        choices=[core.RANDOM_ERRORS, core.WORST_CASE_ERRORS])
     p_sim.add_argument("--limit-z", type=_at_least(0))
@@ -160,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--q", default="2", type=_at_least(2, many=True),
                           help="comma-separated alphabet sizes")
     group = p_bounds.add_mutually_exclusive_group()
-    group.add_argument("--t", type=int, help="constant error budget")
+    group.add_argument("--t", type=_at_least(0), help="constant error budget")
     group.add_argument("--tau", type=_parse_fraction, help="linear error fraction")
     p_bounds.add_argument("--format", default="text", choices=["text", "csv", "json"])
     p_bounds.add_argument("--out")

@@ -52,7 +52,6 @@ from .errors import AmbiguousDecoding, ConstructionFailure, DecodingFailure
 from .linear import (
     MR_EXACT_BELOW,
     BinaryLinearCode,
-    PrimeField,
     RSCodec,
     build_outer_code,
     integer_lift_decode,
@@ -142,7 +141,7 @@ class AugmentedCode:
         self.matrix = matrix
         self.t = t
         self.codec = codec
-        self.q_rs = codec.field.p
+        self.q_rs = codec.p
         self.bit_width = bit_width
         self._base_is_identity = (
             base.k == base.n
@@ -181,7 +180,7 @@ class AugmentedCode:
         """Rebuild from the base and t; every other stated field must match."""
         base = SignatureMatrix.from_json(obj["base"])
         rows, t = SignatureMatrix.from_json(obj["extended"]).k, obj["t"]
-        # Rebuilding takes time quadratic in t, so the file's size bounds t first.
+        # Rebuilding takes time growing with t, so the file's size bounds t first.
         if type(t) is not int or not 1 <= t <= (rows - base.k) // 2:
             raise ValueError(f"t {t!r} is not an int in [1, {(rows - base.k) // 2}]")
         return _as_stated(rs_augment(base, t), obj)
@@ -195,6 +194,8 @@ def rs_augment(base: SignatureMatrix, t: int) -> AugmentedCode:
     evaluation points; q_RS is the smallest prime satisfying both.  Each of
     the 2t parity symbols per column is appended as bit_width binary rows.
     """
+    import numpy as np
+
     if t < 1:
         raise ValueError("t must be >= 1; use the base matrix directly for t = 0")
     k_lin = base.k
@@ -205,19 +206,12 @@ def rs_augment(base: SignatureMatrix, t: int) -> AugmentedCode:
     value_cap = base.n * (base.q - 1)
     q_rs = smallest_prime_above(max(value_cap, n_rs - 1))
     bit_width = q_rs.bit_length()
-    codec = RSCodec(PrimeField(q_rs), n_rs=n_rs, k_rs=k_lin)
-    parity_rows = [[0] * base.n for _ in range(2 * t * bit_width)]
-    for col in range(base.n):
-        column = [base.rows[i][col] for i in range(k_lin)]
-        # A base entry is an int below q <= q_RS, so rs_encode's checks would pass.
-        codeword = codec._codeword(column)
-        for j, symbol in enumerate(codeword[k_lin:]):
-            for b in range(bit_width):
-                parity_rows[j * bit_width + b][col] = (symbol >> b) & 1
-    extended = SignatureMatrix(
-        q=base.q,
-        rows=base.rows + tuple(tuple(r) for r in parity_rows),
-    )
+    codec = RSCodec(q_rs, n_rs=n_rs, k_rs=k_lin)
+    # Each base column is a message: an int below q <= q_RS, as rs_encode would check.
+    symbols = codec._parities(np.array(base.rows).T)
+    bits = symbols[:, :, None] >> np.arange(bit_width).astype(symbols.dtype) & 1
+    parity_rows = bits.reshape(base.n, 2 * t * bit_width).T.tolist()
+    extended = SignatureMatrix(q=base.q, rows=base.rows + tuple(map(tuple, parity_rows)))
     return AugmentedCode(base, extended, t, codec, bit_width)
 
 
@@ -274,6 +268,8 @@ def plan_random_length(n: int, q: int, t_mode: TMode) -> int:
     construct_random compensates by escalating k when attempts exhaust.
     """
     value = achievable_random(n, q, t_mode)
+    if math.isinf(value):
+        raise ValueError("n or t is too large: the planned length is past the largest float")
     if isinstance(t_mode, ConstantT):
         k = math.floor(value) + 1
     else:

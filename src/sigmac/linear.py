@@ -3,7 +3,7 @@
 The RS codec is systematic over a prime field F_p with evaluation points
 0..n-1: the first k points carry the message, the parities are the
 interpolating polynomial's values at the remaining points.  Decoding is by
-syndromes against parity checks the codec builds once.
+syndromes against parity checks the codec builds on its first decode.
 
 The binary side provides [N, K, D] codes with exactly verified minimum
 distance (exhaustive over the 2^K codewords at desk scale), their nearest
@@ -13,6 +13,7 @@ nonnegative integer vector w from G^T w + e by repeated bit-plane decoding.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -73,15 +74,6 @@ def smallest_prime_above(m: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-
 def _solve_mod(systems, p: int):
     """Solutions of a batch of square systems over F_p, and which are nonsingular.
 
@@ -110,49 +102,41 @@ def _solve_mod(systems, p: int):
 
 
 class RSCodec:
-    """Systematic [n_rs, k_rs, n_rs - k_rs + 1] Reed-Solomon code over F_p."""
+    """Systematic [n_rs, k_rs, n_rs - k_rs + 1] Reed-Solomon code over F_p.
 
-    def __init__(self, prime_field: PrimeField, n_rs: int, k_rs: int):
+    Its parity table and check weights both come from one table of factorials mod p.
+    """
+
+    def __init__(self, p: int, n_rs: int, k_rs: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if not 1 <= k_rs <= n_rs:
             raise ValueError(f"need 1 <= k_rs <= n_rs, got k={k_rs}, n={n_rs}")
-        if n_rs > prime_field.p:
-            raise ValueError(
-                f"n_rs={n_rs} exceeds the field size {prime_field.p}: "
-                f"not enough distinct evaluation points"
-            )
-        self.field = prime_field
-        self.n_rs = n_rs
-        self.k_rs = k_rs
-        p = prime_field.p
-        # Lagrange preprocessing: parity_matrix[i][j] is the value at parity
-        # point k_rs+j of the basis polynomial that is 1 at message point i.
-        self._parity_matrix = []
-        for i in range(k_rs):
-            denom = 1
-            for m in range(k_rs):
-                if m != i:
-                    denom = (denom * (i - m)) % p
-            inv_denom = pow(denom, p - 2, p)
-            vals = []
-            for xp in range(k_rs, n_rs):
-                num = 1
-                for m in range(k_rs):
-                    if m != i:
-                        num = (num * (xp - m)) % p
-                vals.append((num * inv_denom) % p)
-            self._parity_matrix.append(vals)
-        # Parity checks: sum_i v_i x_i^l c_i = 0 for l < n_rs - k_rs, where
-        # v_i = 1 / prod_{j != i} (x_i - x_j), because sum_i v_i g(x_i) is the
-        # leading coefficient of g's interpolant, 0 whenever deg g <= n_rs - 2.
-        weights = []
-        for i in range(n_rs):
-            denom = 1
-            for j in range(n_rs):
-                if j != i:
-                    denom = (denom * (i - j)) % p
-            weights.append(pow(denom, p - 2, p))
-        self._checks = [[v * pow(x, l, p) % p for x, v in enumerate(weights)]
-                        for l in range(n_rs - k_rs)]
+        if n_rs > p:
+            raise ValueError(f"n_rs={n_rs} exceeds the field size {p}: "
+                             "not enough distinct evaluation points")
+        import numpy as np
+
+        self.p, self.n_rs, self.k_rs = p, n_rs, k_rs
+        n, k = n_rs, k_rs
+        # m! and 1/m! for m < n, none of them 0 since n <= p; then 1/m = (m-1)!/m!.
+        fact = list(itertools.accumulate(range(1, n), lambda a, m: a * m % p, initial=1))
+        inv = list(itertools.accumulate(range(n - 1, 0, -1), lambda a, m: a * m % p,
+                                        initial=pow(fact[-1], p - 2, p)))[::-1]
+        fact, inv = np.array(fact, dtype=self._dtype), np.array(inv, dtype=self._dtype)
+        reciprocal = fact[:-1] * inv[1:] % p  # reciprocal[m - 1] = 1/m
+        signed = inv.copy()  # signed[m] = (-1)^m / m!
+        signed[1::2] = (p - signed[1::2]) % p
+        # Message point i's basis polynomial prod_{m != i} (x - m)/(i - m) is
+        # x!/((x-k)! (x-i)) / ((-1)^(k-1-i) i! (k-1-i)!); _parity[i, x - k] is its value at x.
+        basis = inv[:k] * signed[k - 1::-1] % p
+        offsets = np.arange(k, n) - np.arange(k)[:, None]  # x - i
+        falling = fact[k:] * inv[:n - k] % p  # x!/(x-k)!
+        self._parity = basis[:, None] * reciprocal[offsets - 1] % p * falling % p
+        # The checks are sum_i v_i i^l c_i = 0 for l < n - k, where sum_i v_i g(i), with
+        # v_i = 1/prod_{j != i} (i - j) = 1/((-1)^(n-1-i) i! (n-1-i)!), is the leading
+        # coefficient of g's interpolant: 0 whenever deg g <= n - 2.
+        self._weights = inv * signed[::-1] % p
 
     @property
     def d_rs(self) -> int:
@@ -162,33 +146,31 @@ class RSCodec:
     def radius(self) -> int:
         return (self.n_rs - self.k_rs) // 2
 
-    def _codeword(self, message: list[int]) -> list[int]:
-        """rs_encode of a message already read and checked, such as a base matrix column."""
-        parities = []
-        for j in range(self.n_rs - self.k_rs):
-            acc = 0
-            for i, m in enumerate(message):
-                if m:
-                    acc += m * self._parity_matrix[i][j]
-            parities.append(acc % self.field.p)
-        return message + parities
-
     @cached_property
     def _dtype(self):
-        """The width of every syndrome sum: n_rs products below p^2."""
-        return _int_dtype(self.field.p ** 2 * self.n_rs)
+        """The width of every sum the codec forms: at most n_rs products below p^2."""
+        return _int_dtype(self.p ** 2 * self.n_rs)
+
+    def _parities(self, messages):
+        """The systematic encoder: parity symbols of a batch of checked messages, one row each."""
+        return messages.astype(self._dtype) @ self._parity % self.p
 
     @cached_property
     def _check_array(self):
-        """The parity checks as an (n_rs - k_rs) x n_rs array."""
+        """The parity checks as an (n_rs - k_rs) x n_rs array, built on the first decode."""
         import numpy as np
 
-        return np.array(self._checks, dtype=self._dtype).reshape(-1, self.n_rs)
+        checks = np.empty((self.n_rs - self.k_rs, self.n_rs), dtype=self._dtype)
+        checks[:1] = self._weights
+        points = np.arange(self.n_rs, dtype=self._dtype)
+        for l in range(1, len(checks)):
+            checks[l] = checks[l - 1] * points % self.p
+        return checks
 
 
 def _check_field(codec: RSCodec, words) -> None:
     """Refuse a batch read by core._integer_batch that holds an entry outside F_p."""
-    p = codec.field.p
+    p = codec.p
     if len(words) and (words.min() < 0 or words.max() >= p):
         raise ValueError(f"element {words[(words < 0) | (words >= p)][0]} outside F_{p}")
 
@@ -199,7 +181,7 @@ def rs_encode(codec: RSCodec, message: Sequence[int]) -> list[int]:
     if words.shape[1] != codec.k_rs:
         raise ValueError(f"message length {words.shape[1]} != k_rs = {codec.k_rs}")
     _check_field(codec, words)
-    return codec._codeword(words[0].tolist())
+    return words[0].tolist() + codec._parities(words)[0].tolist()
 
 
 def rs_decode(codec: RSCodec, received) -> list:
@@ -228,7 +210,7 @@ def rs_decode(codec: RSCodec, received) -> list:
     if words.shape[1] != n:
         raise ValueError(f"received length {words.shape[1]} != n_rs = {n}")
     _check_field(codec, words)
-    p = codec.field.p
+    p = codec.p
     words = words.astype(codec._dtype)
     checks = codec._check_array
     syndromes = words @ checks.T % p
@@ -258,7 +240,7 @@ def _correct(codec: RSCodec, words, syndromes, rows, locators, outcomes) -> None
     """rs_decode's last steps for the words `rows`, whose locators have one degree."""
     import numpy as np
 
-    n, k, p = codec.n_rs, codec.k_rs, codec.field.p
+    n, k, p = codec.n_rs, codec.k_rs, codec.p
     nu = locators.shape[1]
     points = np.arange(n, dtype=codec._dtype)
     value = np.ones((len(rows), n), dtype=codec._dtype)

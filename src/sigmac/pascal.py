@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -65,6 +66,9 @@ def _check_row(q: int, n: int) -> None:
         raise ValueError(f"alphabet size q must be >= 2, got {q}")
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
+    if n * (q - 1) >= sys.maxsize:
+        raise ValueError("row n of the q-ary triangle has n*(q-1) + 1 entries, "
+                         "more than a list can hold")
 
 
 def _next_row(prev: list[int], q: int) -> list[int]:

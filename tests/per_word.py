@@ -4,8 +4,11 @@ Each function here decodes one received word the way sigmac did before it
 decoded whole batches, and `simulate_reference` runs `sigmac simulate` one
 round at a time through them.  The tests use them as oracles: a batch must
 give, word for word, the vector these return or the exception they raise.
+The Reed-Solomon tables they read, `lagrange_parities` and `parity_checks`,
+come from the textbook products RSCodec once ran, one entry at a time.
 """
 
+import functools
 import json
 import random
 import sys
@@ -41,7 +44,7 @@ def received_symbol(value, cap: int) -> int:
 
 def check_elements(codec: RSCodec, vec: Sequence[int]) -> None:
     """Refuse a word with an entry outside F_p, one entry at a time."""
-    p = codec.field.p
+    p = codec.p
     for v in vec:
         if not 0 <= v < p:
             raise ValueError(f"element {v} outside F_{p}")
@@ -99,9 +102,50 @@ def _solve_mod(rows: list[list[int]], p: int) -> list[int] | None:
     return [row[size] for row in rows]
 
 
+@functools.cache
+def lagrange_parities(p: int, n_rs: int, k_rs: int) -> list[list[int]]:
+    """The textbook parity table: entry [i][j] is the value at parity point
+    k_rs + j of the Lagrange basis polynomial that is 1 at message point i."""
+    table = []
+    for i in range(k_rs):
+        denom = 1
+        for m in range(k_rs):
+            if m != i:
+                denom = (denom * (i - m)) % p
+        inv_denom = pow(denom, p - 2, p)
+        vals = []
+        for xp in range(k_rs, n_rs):
+            num = 1
+            for m in range(k_rs):
+                if m != i:
+                    num = (num * (xp - m)) % p
+            vals.append((num * inv_denom) % p)
+        table.append(vals)
+    return table
+
+
+@functools.cache
+def parity_checks(p: int, n_rs: int, k_rs: int) -> list[list[int]]:
+    """The textbook parity checks: row l holds v_i * i^l for the points i < n_rs,
+    where v_i = 1 / prod_{j != i} (i - j), for l < n_rs - k_rs."""
+    weights = []
+    for i in range(n_rs):
+        denom = 1
+        for j in range(n_rs):
+            if j != i:
+                denom = (denom * (i - j)) % p
+        weights.append(pow(denom, p - 2, p))
+    return [[v * pow(x, l, p) % p for x, v in enumerate(weights)]
+            for l in range(n_rs - k_rs)]
+
+
+def _checks(codec: RSCodec) -> list[list[int]]:
+    return parity_checks(codec.p, codec.n_rs, codec.k_rs)
+
+
 def _syndromes(codec: RSCodec, word: Sequence[int]) -> list[int]:
-    p = codec.field.p
-    return [sum(h * c for h, c in zip(row, word)) % p for row in codec._checks]
+    p = codec.p
+    return [sum(h * c for h, c in zip(row, word)) % p for row in _checks(codec)]
 
 
 def rs_decode(codec: RSCodec, received: Sequence[int]) -> list[int]:
@@ -110,7 +154,7 @@ def rs_decode(codec: RSCodec, received: Sequence[int]) -> list[int]:
     if len(received) != n:
         raise ValueError(f"received length {len(received)} != n_rs = {n}")
     check_elements(codec, received)
-    p = codec.field.p
+    p = codec.p
     syndromes = _syndromes(codec, received)
     if not any(syndromes):
         return list(received[:k])
@@ -132,7 +176,7 @@ def rs_decode(codec: RSCodec, received: Sequence[int]) -> list[int]:
     if len(positions) != nu:
         raise DecodingFailure(
             f"error locator of degree {nu} has {len(positions)} roots among the evaluation points")
-    values = _solve_mod([[codec._checks[l][j] for j in positions] + [syndromes[l]]
+    values = _solve_mod([[_checks(codec)[l][j] for j in positions] + [syndromes[l]]
                          for l in range(nu)], p)
     corrected = list(received)
     for j, e in zip(positions, values):

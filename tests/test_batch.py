@@ -22,7 +22,6 @@ from sigmac.core import SignatureMatrix, encode
 from sigmac.errors import AmbiguousDecoding, CapacityError, DecodingFailure
 from sigmac.linear import (
     BinaryLinearCode,
-    PrimeField,
     RSCodec,
     integer_lift_decode,
     repetition_code,
@@ -110,7 +109,7 @@ def test_batch_checks_word_length():
        t=st.integers(1, 3))
 def test_rs_decode_batch_matches_per_word(seed, size, p, k, t):
     rng = random.Random(seed)
-    codec = RSCodec(PrimeField(p), n_rs=k + 2 * t, k_rs=k)
+    codec = RSCodec(p, n_rs=k + 2 * t, k_rs=k)
     assert (codec._dtype is object) == (p * p * codec.n_rs >= 2**63)
     words = []
     for _ in range(size):
@@ -351,10 +350,11 @@ def test_simulate_round_width(a, width):
 
 @pytest.mark.parametrize("p, width", [(11, np.int64), (2**61 - 1, object)])
 def test_rs_decode_width(p, width):
-    codec = RSCodec(PrimeField(p), n_rs=4, k_rs=2)
-    word = rs_encode(codec, [3, 7])
+    """One width, chosen with the codec, serves its tables, encoding and decoding."""
+    word = rs_encode(RSCodec(p, n_rs=4, k_rs=2), [3, 7])
     word[2] = (word[2] + 1) % p
-    outcomes, chosen = chosen_widths(linear, lambda: rs_decode(codec, [word]))
+    outcomes, chosen = chosen_widths(
+        linear, lambda: rs_decode(RSCodec(p, n_rs=4, k_rs=2), [word]))
     assert chosen == [width] and outcomes == [[3, 7]]
 
 

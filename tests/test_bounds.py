@@ -96,6 +96,32 @@ def test_explicit_rs_and_kronecker_lengths():
     assert kronecker_length(2) == math.inf
 
 
+@pytest.mark.parametrize("evaluate, name", [
+    (lambda big: converse_binary(big, ConstantT(1)), "n"),
+    (lambda big: achievable_random(big, 2, ConstantT(1)), "n"),
+    (lambda big: achievable_random(16, big, ConstantT(1)), "q"),
+    (lambda big: explicit_rs_length(big, ConstantT(1)), "n"),
+    (lambda big: kronecker_length(big), "n"),
+    (lambda big: ConstantT(big), "t"),
+])
+def test_an_input_past_the_largest_float_is_refused_by_name(evaluate, name):
+    with pytest.raises(ValueError) as refused:
+        evaluate(10 ** 400)
+    assert str(refused.value) == f"{name} is too large for the floating-point length bounds"
+
+
+def test_inputs_up_to_the_largest_float_give_numbers_not_overflows():
+    # every input is scaled as a float, so 2t, 2n and their sums reach inf, not an OverflowError
+    t, n = ConstantT(10 ** 308), 10 ** 308
+    assert converse_binary(16, t) == achievable_random(16, 2, t) == math.inf
+    assert explicit_rs_length(16, t) == math.inf
+    assert achievable_random(n, 2, ConstantT(0)) == math.inf
+    assert converse_binary(n, ConstantT(0)) == pytest.approx(2 * 1e308 / math.log2(1e308))
+    with pytest.raises(ValueError, match="^n is too large: the field needs a prime above n, "
+                                         "beyond the exact primality test$"):
+        explicit_rs_length(n, ConstantT(0))
+
+
 def test_pairwise_counting_identity_examples():
     identity2 = SignatureMatrix(q=2, rows=((1, 0), (0, 1)))
     check = pairwise_counting_check(identity2, Fraction(0))

@@ -821,6 +821,28 @@ REFUSALS = {
                           "sigmac bounds: error: argument --n: need integers >= 2, got ','", ()),
     "unwritable-out": (["bounds", "--n", "1024", "--out", "{tmp}/missing/b.txt"], 2,
                        "bounds: cannot write {tmp}/missing/b.txt: No such file or directory", ()),
+    # An integer refusal quotes at most 20 characters of the value, then its length.
+    "construct-negative-n": (["construct", *TRIVIAL[:-1], f"-{10 ** 400}", "--out",
+                              "{tmp}/a.json"], 2,
+                             "sigmac construct: error: argument --n: need integers >= 1, "
+                             "got '-1000000000000000000'... (402 characters)", ()),
+    "construct-n-digits": (["construct", *TRIVIAL[:-1], "9" * 5000, "--out", "{tmp}/a.json"], 2,
+                           "sigmac construct: error: argument --n: need integers >= 1, "
+                           "got '99999999999999999999'... (5000 characters)", ()),
+    "construct-seed-digits": (["construct", *TRIVIAL, "--seed", "9" * 5000, "--out",
+                               "{tmp}/a.json"], 2,
+                              "sigmac construct: error: argument --seed: need integers, "
+                              "got '99999999999999999999'... (5000 characters)", ()),
+    "simulate-seed": (["simulate", "--in", "{tmp}/triv.json", "--seed", "0x10"], 2,
+                      "sigmac simulate: error: argument --seed: need integers, got '0x10'", ()),
+    "bounds-t-digits": (["bounds", "--n", "10", "--t", "9" * 5000], 2,
+                        "sigmac bounds: error: argument --t: need integers >= 0, "
+                        "got '99999999999999999999'... (5000 characters)", ()),
+    "bounds-negative-t": (["bounds", "--n", "10", "--t", "-1"], 2,
+                          "sigmac bounds: error: argument --t: need integers >= 0, got '-1'", ()),
+    "bounds-list-digits": (["bounds", "--n", "16," + "9" * 5000], 2,
+                           "sigmac bounds: error: argument --n: need integers >= 2, "
+                           "got '16,99999999999999999'... (5003 characters)", ()),
 }
 
 
@@ -904,28 +926,47 @@ def test_each_mode_argv_is_accepted(refusal_dir, capsys):
 
 
 BIG = str(10 ** 400)
+FLOAT_N = "n is too large for the floating-point length bounds"
 
 
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--n", "10", "--q", BIG],
-    ["bounds", "--n", "10", "--q", "2", "--t", BIG],
-    ["bounds", "--n", BIG, "--q", "2"],
-    ["construct", "--method", "random", "--n", "3", "--q", "3", "--t", BIG],
-    ["construct", "--method", "random", "--n", "3", "--q", BIG, "--t", "0"],
-    ["pascal", "--row", "--q", BIG, "--n", "1"],
-    ["pascal", "--table", "--q", BIG, "--nmax", "1"],
-    # a row of 2^61 entries: its list is refused before anything is allocated
-    ["pascal", "--row", "--q", str(2 ** 62), "--n", "1"],
-], ids=["bounds-q", "bounds-t", "bounds-n", "random-t", "random-q", "row-q", "table-q",
-        "row-q-2-62"])
-def test_huge_integer_is_usage_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, line", [
+    (["bounds", "--n", "10", "--q", BIG], "bounds: q is too large for the floating-point "
+                                          "length bounds"),
+    (["bounds", "--n", "10", "--q", "2", "--t", BIG],
+     "bounds: t is too large for the floating-point length bounds"),
+    (["bounds", "--n", BIG, "--q", "2"], f"bounds: {FLOAT_N}"),
+    (["bounds", "--n", str(10 ** 30), "--q", "2"],
+     "bounds: n is too large: the field needs a prime above n, beyond the exact primality test"),
+    (["construct", "--method", "random", "--n", "3", "--q", "3", "--t", BIG],
+     "construct: t is too large for the floating-point length bounds"),
+    (["construct", "--method", "random", "--n", "3", "--q", BIG, "--t", "0"],
+     "construct: q is too large for the floating-point length bounds"),
+    (["construct", "--method", "random", "--n", BIG], f"construct: {FLOAT_N}"),
+    (["construct", "--method", "random", "--n", "3", "--t", str(10 ** 308)],
+     "construct: n or t is too large: the planned length is past the largest float"),
+    (["pascal", "--row", "--q", BIG, "--n", "1"],
+     "pascal: row n of the q-ary triangle has n*(q-1) + 1 entries, more than a list can hold"),
+    (["pascal", "--table", "--q", BIG, "--nmax", "1"],
+     "pascal: row n of the q-ary triangle has n*(q-1) + 1 entries, more than a list can hold"),
+    # a row of 2^62 entries: its list is refused before anything is allocated
+    (["pascal", "--row", "--q", str(2 ** 62), "--n", "1"], "pascal: out of memory"),
+], ids=["bounds-q", "bounds-t", "bounds-n", "bounds-n-prime", "random-t", "random-q",
+        "random-n", "random-inf", "row-q", "table-q", "row-q-2-62"])
+def test_huge_integer_is_usage_error(tmp_path, capsys, argv, line):
+    """Refused by name, without the digits, and by sigmac's checks, not Python's overflows."""
     out = tmp_path / "a.json"
     if argv[0] == "construct":
         argv = argv + ["--out", str(out)]
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith(f"{argv[0]}: ")
+    assert capsys.readouterr() == ("", line + "\n")
     assert not out.exists()
+
+
+def test_a_negative_seed_is_a_seed(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run(["construct", *TRIVIAL, "--seed", "-5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == -5
+    capsys.readouterr()
 
 
 def test_a_table_refused_part_way_leaves_no_file(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -25,7 +26,7 @@ from sigmac.core import (
     tolerates,
 )
 from sigmac.errors import ConstructionFailure
-from sigmac.linear import BinaryLinearCode, repetition_code
+from sigmac.linear import BinaryLinearCode, repetition_code, rs_encode
 
 
 def test_construct_trivial():
@@ -62,7 +63,6 @@ def test_rs_augment_shapes():
 
 
 def test_rs_augment_parity_bits_encode_column_symbols():
-    from sigmac.linear import rs_encode
     code = cons.rs_augment(cons.construct_trivial(3), 1)
     for col in range(3):
         column = [code.base.rows[i][col] for i in range(3)]
@@ -71,6 +71,20 @@ def test_rs_augment_parity_bits_encode_column_symbols():
             bits = [code.matrix.rows[3 + j * code.bit_width + b][col]
                     for b in range(code.bit_width)]
             assert sum(bit << b for b, bit in enumerate(bits)) == symbol
+
+
+def test_rs_augment_at_a_large_t_encodes_without_building_the_checks():
+    # n_rs = 4003: the parity table costs O(k_rs (n_rs - k_rs)), and the
+    # (n_rs - k_rs) x n_rs check array waits for the first decode.
+    start = time.perf_counter()
+    code = cons.rs_augment(cons.construct_trivial(3), 2000)
+    assert time.perf_counter() - start < 5
+    assert code.codec.n_rs == 4003 and "_check_array" not in vars(code.codec)
+    column = [1, 0, 0]
+    symbols = [sum(code.matrix.rows[3 + j * code.bit_width + b][0] << b
+                   for b in range(code.bit_width)) for j in range(4000)]
+    assert rs_encode(code.codec, column) == column + symbols
+    assert "_check_array" not in vars(code.codec)
 
 
 def test_rs_augmented_decode_clean_and_single_big_error():
@@ -460,7 +474,7 @@ def test_load_artifact_checks_a_stated_design_t(design_t, d_min, message):
 
 
 def test_rs_loader_bounds_t_by_the_file_before_rebuilding(monkeypatch):
-    # Rebuilding takes time quadratic in t: a t that the stated extended rows
+    # Rebuilding takes time growing with t: a t that the stated extended rows
     # cannot hold is rejected without it.
     envelope = cons.rs_augment(cons.construct_trivial(3), 1).to_json()    # 9 rows
 

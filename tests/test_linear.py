@@ -19,7 +19,6 @@ from sigmac.linear import (
     MR_EXACT_BELOW,
     BinaryLinearCode,
     _nearest_codeword,
-    PrimeField,
     RSCodec,
     build_outer_code,
     integer_lift_decode,
@@ -73,27 +72,27 @@ def test_smallest_prime_above():
         assert not any(sympy.isprime(x) for x in range(m + 1, p))
 
 
-def test_prime_field_validation():
-    PrimeField(7)
-    with pytest.raises(ValueError):
-        PrimeField(8)
+def test_rs_codec_refuses_a_field_size_that_is_not_prime():
+    assert RSCodec(7, n_rs=7, k_rs=3).p == 7
+    with pytest.raises(ValueError, match="^8 is not prime$"):
+        RSCodec(8, n_rs=7, k_rs=3)
 
 
 def test_rs_codec_shape_constraints():
     with pytest.raises(ValueError):
-        RSCodec(PrimeField(3), n_rs=4, k_rs=2)  # only 3 evaluation points exist
+        RSCodec(3, n_rs=4, k_rs=2)  # only 3 evaluation points exist
     with pytest.raises(ValueError):
-        RSCodec(PrimeField(7), n_rs=3, k_rs=4)
-    codec = RSCodec(PrimeField(7), n_rs=7, k_rs=3)
+        RSCodec(7, n_rs=3, k_rs=4)
+    codec = RSCodec(7, n_rs=7, k_rs=3)
     assert codec.d_rs == 5 and codec.radius == 2
 
 
 def test_rs_encode_systematic_and_linear():
-    codec = RSCodec(PrimeField(11), n_rs=7, k_rs=3)
+    codec = RSCodec(11, n_rs=7, k_rs=3)
     # f(x) = x + 1 interpolates (0,1),(1,2),(2,3); parities are f(3..6)
     assert rs_encode(codec, [1, 2, 3]) == [1, 2, 3, 4, 5, 6, 7]
     assert rs_encode(codec, [0, 0, 0]) == [0] * 7
-    degenerate = RSCodec(PrimeField(11), n_rs=3, k_rs=3)
+    degenerate = RSCodec(11, n_rs=3, k_rs=3)
     assert rs_encode(degenerate, [4, 9, 2]) == [4, 9, 2]
     with pytest.raises(ValueError):
         rs_encode(codec, [1, 2])
@@ -104,7 +103,7 @@ def test_rs_encode_systematic_and_linear():
 def test_rs_mds_distance_exhaustive():
     # every pair of distinct messages differs in >= n_rs - k_rs + 1 positions
     for p, n, k in [(7, 6, 2), (11, 8, 3), (17, 6, 4), (13, 5, 1)]:
-        codec = RSCodec(PrimeField(p), n_rs=n, k_rs=k)
+        codec = RSCodec(p, n_rs=n, k_rs=k)
         words = [rs_encode(codec, list(m)) for m in product(range(p), repeat=k)]
         if len(words) > 400:
             rng = random.Random(p)
@@ -116,7 +115,7 @@ def test_rs_mds_distance_exhaustive():
 
 
 def test_rs_decode_within_radius():
-    codec = RSCodec(PrimeField(11), n_rs=7, k_rs=3)
+    codec = RSCodec(11, n_rs=7, k_rs=3)
     msg = [5, 0, 9]
     clean = rs_encode(codec, msg)
     assert rs_decode(codec, [clean]) == [msg]
@@ -139,7 +138,7 @@ def rs_decode_bruteforce(codec: RSCodec, received: Sequence[int],
     basis codewords, in the message order of product(range(p), repeat=k_rs),
     so the first message at the minimum distance is the one returned.
     """
-    p, k = codec.field.p, codec.k_rs
+    p, k = codec.p, codec.k_rs
     if p ** k > budget:
         raise ValueError("message space too large for brute force")
     per_word.check_elements(codec, received)
@@ -181,7 +180,7 @@ def binary_half_distance_decode(code: BinaryLinearCode,
 
 
 def test_rs_decode_single_error_small_code():
-    codec = RSCodec(PrimeField(11), n_rs=4, k_rs=2)
+    codec = RSCodec(11, n_rs=4, k_rs=2)
     msg = [3, 7]
     word = rs_encode(codec, msg)
     for pos in range(4):
@@ -195,7 +194,7 @@ def test_rs_decode_single_error_small_code():
 def test_rs_decode_agrees_with_bruteforce():
     rng = random.Random(29)
     for p, n, k in [(7, 5, 2), (11, 6, 3), (11, 4, 2)]:
-        codec = RSCodec(PrimeField(p), n_rs=n, k_rs=k)
+        codec = RSCodec(p, n_rs=n, k_rs=k)
         for _ in range(150):
             msg = [rng.randrange(p) for _ in range(k)]
             word = rs_encode(codec, msg)
@@ -285,7 +284,7 @@ def berlekamp_welch_decode(codec, received):
     if len(received) != n:
         raise ValueError(f"received length {len(received)} != n_rs = {n}")
     per_word.check_elements(codec, received)
-    p = codec.field.p
+    p = codec.p
     t = codec.radius
     # x_i^l table for the Berlekamp-Welch system.
     max_deg = max(t + k - 1, t, 0)
@@ -335,6 +334,21 @@ def rs_decode_one(codec: RSCodec, word: Sequence[int]):
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(PRIMES + (101, 2**31 - 1, 2**61 - 1)), n=st.integers(1, 24),
+       k=st.integers(1, 24))
+@example(p=2**61 - 1, n=12, k=5)  # object arrays: p^2 n is past 2^63
+@example(p=23, n=23, k=1)         # every point of the field
+def test_rs_codec_tables_match_the_textbook_products(p, n, k):
+    """The factorial-built parity table and check array, entry for entry."""
+    n = min(n, p)
+    k = min(k, n)
+    codec = RSCodec(p, n_rs=n, k_rs=k)
+    assert (codec._dtype is object) == (p * p * n >= 2**63)
+    assert codec._parity.tolist() == per_word.lagrange_parities(p, n, k)
+    assert codec._check_array.tolist() == per_word.parity_checks(p, n, k)
+
+
 @st.composite
 def rs_cases(draw):
     """(codec, received): a codeword with up to radius + 2 symbols changed.
@@ -346,7 +360,7 @@ def rs_cases(draw):
     p = draw(st.sampled_from(PRIMES))
     redundancy = draw(st.integers(0, min(7, p - 1)))
     k = draw(st.integers(1, p - redundancy))
-    codec = RSCodec(PrimeField(p), n_rs=k + redundancy, k_rs=k)
+    codec = RSCodec(p, n_rs=k + redundancy, k_rs=k)
     word = rs_encode(codec, draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)))
     positions = draw(st.lists(st.integers(0, codec.n_rs - 1), unique=True,
                               max_size=codec.radius + 2))
@@ -356,7 +370,7 @@ def rs_cases(draw):
 
 
 def _codec(p, n, k):
-    return RSCodec(PrimeField(p), n_rs=n, k_rs=k)
+    return RSCodec(p, n_rs=n, k_rs=k)
 
 
 @settings(max_examples=400, deadline=None)
@@ -381,7 +395,7 @@ def test_rs_decode_matches_berlekamp_welch(case):
 @example(case=(_codec(5, 5, 1), [0, 0, 1, 2, 3]))
 def test_rs_decode_matches_bruteforce(case):
     codec, word = case
-    assume(codec.field.p ** codec.k_rs <= 200_000)
+    assume(codec.p ** codec.k_rs <= 200_000)
     got = outcome(rs_decode_one, codec, word)
     assert got == outcome(berlekamp_welch_decode, codec, word)
     nearest = outcome(rs_decode_bruteforce, codec, word)
@@ -397,7 +411,7 @@ def test_rs_decode_matches_bruteforce(case):
 def test_rs_decode_beyond_radius_flags_or_misdecodes():
     # radius + 1 adversarial errors: the decoder may fail or land on a wrong
     # codeword, but must never silently return a non-codeword answer.
-    codec = RSCodec(PrimeField(11), n_rs=6, k_rs=2)
+    codec = RSCodec(11, n_rs=6, k_rs=2)
     other = rs_encode(codec, [4, 4])
     word = rs_encode(codec, [1, 9])
     hybrid = other[:3] + word[3:]  # 3 = radius + 1 positions from another codeword
