@@ -14,7 +14,8 @@ Three families, in increasing ambition:
 * kronecker pipeline: a small inner signature matrix M found by search,
   composed with a binary outer code G as G^T (x) M.  Decoding lifts each
   inner row through the outer code (bit-plane decoding), then fixes the at
-  most t_inner untrusted rows by exhaustive search per block of users.
+  most t_inner untrusted rows per block of users by the min-distance search
+  that decodes a plain matrix, run on M.
 
 Every family, and PlainCode for a plain matrix, has the same members:
 `matrix` (the k x n channel matrix), `design_t` (its error budget),
@@ -31,7 +32,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -39,9 +39,9 @@ from .bounds import ConstantT, TMode, achievable_random, max_correctable_fractio
 from .core import (
     SignatureMatrix,
     _check_u_limit,
-    _digit_sums,
     _int_dtype,
     _integer_batch,
+    _min_distance_search,
     at_most,
     decode_min_distance,
     derive_seed,
@@ -353,21 +353,18 @@ def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult
 
     Walks all q^(p*s) candidate matrices in row-major order, so the search
     is its own existence proof: exhausting the space proves emptiness.  A
-    space above INNER_SEARCH_SPACE is refused before the walk.
+    space above INNER_SEARCH_SPACE is refused before the walk, and so is a
+    target no p-row matrix reaches: wt(M z) <= p, so d_min <= p.
     """
     if p < 1 or s < 1:
         raise ValueError("need p >= 1 and s >= 1")
     target = 2 * t_inner + 1
-    # q >= 2, so q^(p*s) >= 2^(p*s): refused before the power is formed.
-    if p * s > INNER_SEARCH_SPACE.bit_length():
-        raise ValueError(f"q^(p*s) with p*s = {p * s} exceeds the exhaustive budget "
-                         f"{INNER_SEARCH_SPACE}; choose a smaller --p or --s")
-    space = q ** (p * s)
-    if space > INNER_SEARCH_SPACE:
-        raise ValueError(
-            f"q^(p*s) = {space} exceeds the exhaustive budget {INNER_SEARCH_SPACE}; "
-            f"choose a smaller --p or --s"
-        )
+    # q >= 2, so q^(p*s) >= 2^(p*s): a large p*s is refused before the power is formed.
+    if p * s > INNER_SEARCH_SPACE.bit_length() or (space := q ** (p * s)) > INNER_SEARCH_SPACE:
+        raise ValueError(f"the q^(p*s) candidate inner matrices exceed the exhaustive "
+                         f"budget {INNER_SEARCH_SPACE}; choose a smaller --q, --p or --s")
+    if target > p:
+        raise ValueError(f"--inner-t must be at most (p - 1) // 2 = {(p - 1) // 2}, as d_min <= p")
     for checked, entries in enumerate(product(range(q), repeat=p * s), 1):
         rows = tuple(entries[i * s:(i + 1) * s] for i in range(p))
         matrix = SignatureMatrix(q=q, rows=rows)
@@ -426,16 +423,6 @@ class KroneckerCode:
         self.t_inner = t_inner
         self.eps1 = eps1
         self.eps2 = eps2
-
-    @cached_property
-    def _block_images(self):
-        """Every bit pattern of a user block (2^s x s) and its image under M (2^s x p)."""
-        import numpy as np
-
-        s = self.inner.n
-        columns = np.array(self.inner.rows, dtype=_int_dtype(s * (self.inner.q - 1))).T
-        return (_digit_sums(np.eye(s, dtype=np.int64), (0, 1)),
-                _digit_sums(columns, (0, 1)))
 
     @property
     def p(self) -> int:
@@ -541,14 +528,15 @@ def kronecker_decode(code: KroneckerCode, b) -> list:
     row's error weight stays below half the outer distance, and produces an
     untrusted vector otherwise.  Step 2 searches each user block for the bit
     pattern whose inner image differs from the lifted values in the fewest
-    rows; at most t_inner untrusted rows are outvoted.  Ties mean the error
-    budget was exceeded and give AmbiguousDecoding.
+    rows: core's min-distance search over M, with no budget of its own; at
+    most t_inner untrusted rows are outvoted.  Ties mean the error budget
+    was exceeded and give AmbiguousDecoding.
 
     `b` is a batch: a 2-D array with one received word per row, or a list of
     equal-length words.  All rows of all words are lifted by one
-    integer_lift_decode call and every block searched at once; the result
-    is a list with one outcome per word: the activity vector, or the
-    AmbiguousDecoding of that word.
+    integer_lift_decode call, and all blocks of all words searched by one
+    call of the search; the result is a list with one outcome per word: the
+    activity vector, or the AmbiguousDecoding of that word.
     """
     p, s, r = code.p, code.s, code.r
     n_outer = code.outer.N
@@ -559,22 +547,17 @@ def kronecker_decode(code: KroneckerCode, b) -> list:
     # Row (word, i) of the segments holds b[a*p + i] over a.
     segments = words.reshape(count, n_outer, p).transpose(0, 2, 1).reshape(count * p, n_outer)
     lifted = integer_lift_decode(code.outer, segments, s * (code.inner.q - 1))
-    targets = lifted.reshape(count, p, r).transpose(0, 2, 1)
-    patterns, images = code._block_images
-    # Mismatched rows of every block of every word against every image.
-    dist = (targets[:, :, None, :] != images).sum(axis=3)
-    best = dist.argmin(axis=2)
-    low = dist.min(axis=2)
-    tied = (dist == low[:, :, None]).sum(axis=2) > 1
+    # Row (word, j) of the targets holds block j's lifted value for each row
+    # of M; a value above s(q-1) matches no image.
+    targets = lifted.reshape(count, p, r).transpose(0, 2, 1).reshape(count * r, p)
+    vectors, lows, ties, _ = _min_distance_search(targets, code.inner, -1)
     outcomes = []
-    for bits, ties, lows in zip(patterns[best].reshape(count, r * s).tolist(),
-                                tied.tolist(), low.tolist()):
-        if any(ties):
-            j = ties.index(True)
-            outcomes.append(AmbiguousDecoding(
-                f"block {j}: tie at {lows[j]} mismatched rows (error budget exceeded)"))
-        else:
-            outcomes.append(tuple(bits))
+    for bits, low, tied in zip(vectors.reshape(count, r * s).tolist(),
+                               lows.reshape(count, r).tolist(),
+                               (ties > 1).reshape(count, r).tolist()):
+        j = tied.index(True) if any(tied) else None
+        outcomes.append(tuple(bits) if j is None else AmbiguousDecoding(
+            f"block {j}: tie at {low[j]} mismatched rows (error budget exceeded)"))
     return outcomes
 
 

@@ -79,7 +79,7 @@ class SignatureMatrix:
 
     @cached_property
     def _half_tables(self) -> "_HalfTables":
-        """decode_min_distance's matrix-only part, built on its first use."""
+        """The min-distance search's matrix-only part, built on its first use."""
         import numpy as np
 
         cap = self.n * (self.q - 1)
@@ -375,7 +375,7 @@ def _activity_vectors(u, n: int):
 
 
 class _HalfTables(NamedTuple):
-    """The part of decode_min_distance's search that depends only on M."""
+    """The part of the min-distance search that depends only on M."""
 
     cap: int        # every entry of M u lies in [0, cap]
     dtype: object   # narrowest type holding [-1 - cap, cap]; object if none does
@@ -396,56 +396,59 @@ def _received_symbols(words, cap: int, dtype):
     return np.where((words >= 0) & (words <= cap), words, -1).astype(dtype)
 
 
-def _min_distance_search(received, matrix: SignatureMatrix, t: int) -> list:
-    """decode_min_distance's outcomes for a batch of received symbol rows.
+def _min_distance_search(received, matrix: SignatureMatrix, t: int):
+    """Each received word's nearest image M u, and how many u come as near.
 
-    Left halves are compared with every right half for a slice of words at
-    once, about DECODE_BLOCK row comparisons per block: many words per block
-    when one word's 2^n candidates fit, else one word and a few left halves.
+    `received` holds k-entry integer words, one per row.  Returns four
+    arrays, one entry per word: the u with the fewest mismatched rows (the
+    first in index order) as a row of bits, that count, how many u reach
+    it, and how many lie within t (none when t < 0).  A block of about
+    DECODE_BLOCK row comparisons holds as many words as fit whole, else one
+    word and as many left halves as fit, and is reduced for all its words
+    at once.
     """
     import numpy as np
 
-    cap, dtype, h, left_sums, right = matrix._half_tables
     words, k = received.shape
+    if not words:  # simulate's 2^n budget check: an empty batch builds no tables
+        return np.zeros((0, matrix.n), dtype=np.int64), *np.zeros((3, 0), dtype=np.int64)
+    cap, dtype, h, left_sums, right = matrix._half_tables
     halves, width = left_sums.shape[1], right.shape[1]
-    if k * halves * width <= DECODE_BLOCK:
-        word_step, step = DECODE_BLOCK // (k * halves * width), halves
-    else:
-        word_step, step = 1, max(1, DECODE_BLOCK // (k * width))
+    word_step = max(1, DECODE_BLOCK // (k * halves * width))
+    step = max(1, DECODE_BLOCK // (k * width * word_step))
     count_type = np.min_scalar_type(k)
+
+    def row_counts(hits):
+        # Few entries are true: finding them beats summing rows; one row is counted whole.
+        return np.count_nonzero(hits) if len(hits) == 1 else \
+            np.bincount(np.flatnonzero(hits) // hits.shape[1], minlength=len(hits))
+
+    # Row i of M first: a block's weights then add up k whole slabs.
+    by_row = np.ascontiguousarray(_received_symbols(received, cap, dtype).T)
+    blocks = range(0, halves, step)
+    # Per block and word: the least count, its first index, the ties and those within t.
+    found = np.zeros((4, len(blocks), words), dtype=np.int64)
+    lows, indices, ties, close = found
+    for first in range(0, words, word_step):
+        rows = slice(first, first + word_step)
+        left = by_row[:, rows, None] - left_sums[:, None, :]
+        for block, start in enumerate(blocks):
+            differs = left[:, :, start:start + step, None] != right[:, None, None, :]
+            weight = np.add.reduce(differs.view(np.uint8), axis=0, dtype=count_type)
+            weight = weight.reshape(left.shape[1], -1)
+            index = weight.argmin(axis=1)
+            low = weight[np.arange(len(weight)), index]
+            lows[block, rows], indices[block, rows] = low, start * width + index
+            ties[block, rows] = row_counts(weight == low[:, None])
+            if t >= 0:
+                close[block, rows] = row_counts(weight <= min(t, k))
+    # A word's first minimizer lies in the first block reaching its least count.
+    best, best_index = found[:2, lows.argmin(axis=0), np.arange(words)]
+    ties = (ties * (lows == best)).sum(axis=0)
     # u = (a, b) with index = a * 2^(n-h) + b, each half low bit first.
     n = matrix.n
     shifts = np.concatenate((np.arange(n - h, n), np.arange(n - h)))
-    outcomes = []
-    for first in range(0, words, word_step):
-        left = received[first:first + word_step, :, None] - left_sums
-        size = len(left)
-        best, ties, within_budget, best_index = [k + 1] * size, [0] * size, [0] * size, [0] * size
-        for start in range(0, halves, step):
-            differs = left[:, :, start:start + step, None] != right[:, None, :]
-            weight = np.add.reduce(differs.view(np.uint8), axis=1, dtype=count_type)
-            weight = weight.reshape(size, -1)
-            # Each word's row of weights is reduced as that word alone would
-            # be; count_nonzero of a row is several times faster than a sum
-            # along the axis of the block.
-            for w, (row, index) in enumerate(zip(weight, weight.argmin(axis=1).tolist())):
-                low = int(row[index])
-                if low < best[w]:
-                    best[w], ties[w], best_index[w] = low, 0, start * width + index
-                if low == best[w]:
-                    ties[w] += int(np.count_nonzero(row == low))
-                if t >= 0:
-                    within_budget[w] += int(np.count_nonzero(row <= min(t, k)))
-        vectors = ((np.array(best_index)[:, None] >> shifts) & 1).tolist()
-        for vector, count, low, close in zip(vectors, ties, best, within_budget):
-            if count > 1:
-                outcomes.append(AmbiguousDecoding(f"{count} candidates at minimum distance {low}"))
-            elif close > 1:
-                outcomes.append(AmbiguousDecoding(
-                    f"{close} candidates within the error budget t={t}"))
-            else:
-                outcomes.append(tuple(vector))
-    return outcomes
+    return (best_index[:, None] >> shifts) & 1, best, ties, close.sum(axis=0)
 
 
 def decode_min_distance(words, matrix: SignatureMatrix, t: int,
@@ -471,8 +474,10 @@ def decode_min_distance(words, matrix: SignatureMatrix, t: int,
     batch = _integer_batch(words, k)
     if batch.shape[1] != k:
         raise ValueError(f"received word length {batch.shape[1]} != k = {k}")
-    tables = matrix._half_tables
-    return _min_distance_search(_received_symbols(batch, tables.cap, tables.dtype), matrix, t)
+    nearest = _min_distance_search(batch, matrix, t)
+    return [AmbiguousDecoding(f"{count} candidates at minimum distance {low}") if count > 1
+            else AmbiguousDecoding(f"{near} candidates within the error budget t={t}") if near > 1
+            else tuple(vector) for vector, low, count, near in zip(*(a.tolist() for a in nearest))]
 
 
 @dataclass(frozen=True)

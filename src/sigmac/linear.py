@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -210,6 +211,8 @@ def rs_decode(codec: RSCodec, received) -> list:
     if words.shape[1] != n:
         raise ValueError(f"received length {words.shape[1]} != n_rs = {n}")
     _check_field(codec, words)
+    if not len(words):  # simulate's 2^n budget check: an empty batch builds no checks
+        return []
     p = codec.p
     words = words.astype(codec._dtype)
     checks = codec._check_array
@@ -346,6 +349,8 @@ def repetition_code(n_bits: int) -> BinaryLinearCode:
     """The [n, 1, n] repetition code."""
     if n_bits < 1:
         raise ValueError("need at least one bit")
+    if n_bits > sys.maxsize:
+        raise ValueError("--c1 is too large: a tuple cannot hold a repetition code that long")
     return BinaryLinearCode(generator=((1,) * n_bits,), design_distance=n_bits)
 
 

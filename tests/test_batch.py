@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_word
@@ -175,6 +175,41 @@ def test_kronecker_batch_matches_per_word(code, seed, size, errors):
     assert got == per_word_outcomes(per_word.decoder(code, code.design_t), words)
 
 
+# Row 0 of the inner matrix cannot tell u = (1, 0) from (0, 1), and s(q - 1)
+# is 2.  The first two words below lift to the blocks (1, 0, 0), a three-way
+# tie at 1, and (3, 1, 1), decoded as (1, 1) from a value above s(q - 1), in
+# either order; the third to (0, 0, 0) and (3, 1, 1), without a tie.
+TIED_KRONECKER = cons.kronecker_compose(
+    BinaryLinearCode(generator=((1, 0, 1), (0, 1, 1)), design_distance=1),
+    SignatureMatrix(q=2, rows=((1, 1), (1, 0), (0, 1))), t_inner=0)
+TIED_WORDS = [(1, 0, 0, 3, 1, 1, 4, 1, 1), (3, 1, 1, 1, 0, 0, 4, 1, 1),
+              (0, 0, 0, 3, 1, 1, 3, 1, 1)]
+
+
+# The block size crosses a word's blocks and their ties over the engine's
+# block boundaries: at 1, every left half of the inner search is a block.
+@pytest.mark.parametrize("block", [core.DECODE_BLOCK, 64, 1])
+@settings(max_examples=40, deadline=None)
+@given(code=kronecker_codes(), seed=st.integers(0, 2**32), errors=st.integers(0, 4))
+@example(code=TIED_KRONECKER, seed=0, errors=0)
+def test_kronecker_search_matches_per_word_at_any_block(block, code, seed, errors):
+    rng = random.Random(seed)
+    values = [lambda v: v + rng.randint(-4, 4), lambda v: v + 1, 2**70, -5]
+    words = noisy_words(rng, code.matrix, 7, errors, values)
+    if code is TIED_KRONECKER:
+        words += TIED_WORDS
+    with mock.patch.object(core, "DECODE_BLOCK", block):
+        got = [as_outcome(o) for o in code.decode_batch(words, code.design_t)]
+    assert got == per_word_outcomes(per_word.decoder(code, code.design_t), words)
+
+
+def test_tied_kronecker_words():
+    tie = "block {}: tie at 1 mismatched rows (error budget exceeded)"
+    assert [as_outcome(o) for o in TIED_KRONECKER.decode_batch(TIED_WORDS, 0)] == [
+        (AmbiguousDecoding, tie.format(0)), (AmbiguousDecoding, tie.format(1)),
+        (0, 0, 1, 1)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(code=kronecker_codes(), seed=st.integers(0, 2**32),
        size=st.sampled_from(BATCH_SIZES), w_max=st.sampled_from([0, 1, 5, 2**63]))
@@ -295,6 +330,13 @@ def test_an_empty_batch_of_64_bit_parity_symbols():
     assert code.decode_batch([], code.t) == []
 
 
+def test_an_empty_batch_builds_no_check_array():
+    # simulate checks a code's 2^n budget by decoding an empty batch
+    code = cons.rs_augment(cons.construct_trivial(3), 2)
+    assert code.decode_batch([], code.t) == [] and rs_decode(code.codec, []) == []
+    assert "_check_array" not in code.codec.__dict__
+
+
 def test_numpy_integers_in_an_object_batch_are_integers():
     code = RS_CODES[0]
     clean = encode(code.matrix, (1, 0, 1))
@@ -402,14 +444,17 @@ def test_kronecker_images_beyond_int64():
         [(True, u) for u in us]
 
 
-@pytest.mark.parametrize("inner, width", [(TINY_KRONECKER.inner, np.int64),
+@pytest.mark.parametrize("inner, width", [(TINY_KRONECKER.inner, np.int8),
                                           (BEYOND_INT64, object)])
 def test_kronecker_images_width(inner, width):
+    """The inner images are the inner matrix's half tables, in the type they choose."""
     us = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    inner = SignatureMatrix(q=inner.q, rows=inner.rows)   # a fresh one: no tables yet
     code = cons.kronecker_compose(repetition_code(3), inner, t_inner=0)
     words = [encode(code.matrix, u) for u in us]
-    outcomes, chosen = chosen_widths(cons, lambda: code.decode_batch(words, 0))
-    assert chosen == [width] and outcomes == us
+    assert "_half_tables" not in inner.__dict__
+    assert code.decode_batch(words, 0) == us
+    assert inner.__dict__["_half_tables"].dtype == width
 
 
 # -- simulate: chunked rounds against one round at a time ---------------------

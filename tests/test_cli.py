@@ -579,20 +579,22 @@ def test_construct_defaults_apply_when_unset(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("p, s, space", [
-    ("4", "3", "q^(p*s) = 531441"),
+INNER_SPACE = ("construct: the q^(p*s) candidate inner matrices exceed the exhaustive "
+               "budget 300000; choose a smaller --q, --p or --s")
+
+
+@pytest.mark.parametrize("p, s", [
+    ("4", "3"),
     # p*s alone puts the space over the budget, and the power is not formed
-    ("100", "10", "q^(p*s) with p*s = 1000"),
-    ("1000", "10", "q^(p*s) with p*s = 10000"),
+    ("100", "10"),
+    ("1000", "10"),
 ])
-def test_construct_kronecker_inner_space_above_budget(tmp_path, capsys, p, s, space):
+def test_construct_kronecker_inner_space_above_budget(tmp_path, capsys, p, s):
     out = tmp_path / "k.json"
     assert run(["construct", "--method", "kronecker", "--q", "3", "--epsilon", "1/16",
                 "--p", p, "--s", s, "--r", "1", "--outer", "repetition", "--c1", "6",
                 "--inner-t", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr() == (
-        "", f"construct: {space} exceeds the exhaustive budget 300000; "
-            "choose a smaller --p or --s\n")
+    assert capsys.readouterr() == ("", INNER_SPACE + "\n")
     assert not out.exists()
 
 
@@ -929,6 +931,12 @@ BIG = str(10 ** 400)
 FLOAT_N = "n is too large for the floating-point length bounds"
 
 
+def kronecker_with(option, value):
+    """The KRONECKER options with `option` set to `value`."""
+    at = KRONECKER.index(option) + 1
+    return [*KRONECKER[:at], value, *KRONECKER[at + 1:]]
+
+
 @pytest.mark.parametrize("argv, line", [
     (["bounds", "--n", "10", "--q", BIG], "bounds: q is too large for the floating-point "
                                           "length bounds"),
@@ -950,8 +958,16 @@ FLOAT_N = "n is too large for the floating-point length bounds"
      "pascal: row n of the q-ary triangle has n*(q-1) + 1 entries, more than a list can hold"),
     # a row of 2^62 entries: its list is refused before anything is allocated
     (["pascal", "--row", "--q", str(2 ** 62), "--n", "1"], "pascal: out of memory"),
+    (["construct", *kronecker_with("--q", BIG)], INNER_SPACE),
+    (["construct", *kronecker_with("--p", BIG)], INNER_SPACE),
+    # wt(M z) <= p, so no 3-row inner matrix corrects 2 errors: refused before the walk
+    (["construct", *kronecker_with("--inner-t", BIG)],
+     "construct: --inner-t must be at most (p - 1) // 2 = 1, as d_min <= p"),
+    (["construct", *kronecker_with("--c1", str(2 ** 63))],
+     "construct: --c1 is too large: a tuple cannot hold a repetition code that long"),
 ], ids=["bounds-q", "bounds-t", "bounds-n", "bounds-n-prime", "random-t", "random-q",
-        "random-n", "random-inf", "row-q", "table-q", "row-q-2-62"])
+        "random-n", "random-inf", "row-q", "table-q", "row-q-2-62", "kronecker-q",
+        "kronecker-p", "kronecker-inner-t", "kronecker-c1"])
 def test_huge_integer_is_usage_error(tmp_path, capsys, argv, line):
     """Refused by name, without the digits, and by sigmac's checks, not Python's overflows."""
     out = tmp_path / "a.json"

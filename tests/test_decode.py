@@ -190,6 +190,13 @@ def test_checks_come_before_the_tables():
     assert "_half_tables" not in wide.__dict__ and "_half_tables" not in narrow.__dict__
 
 
+def test_an_empty_batch_builds_no_tables():
+    # simulate checks a code's 2^n budget by decoding an empty batch
+    matrix = identity(4)
+    assert decode_min_distance([], matrix, 0) == []
+    assert "_half_tables" not in matrix.__dict__
+
+
 def test_the_2n_budget_comes_before_the_batch():
     """A malformed batch on a matrix over the 2^n limit is refused for the limit."""
     from sigmac.constructions import PlainCode

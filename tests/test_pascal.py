@@ -212,6 +212,20 @@ def mpmath_multinomial_bound(counts: list[int]) -> bool:
         return lhs <= mpmath.mpf(rhs_int) * (1 + pascal.GUARD_BAND)
 
 
+def test_sqrt_central_bound_holds_up_to_q_27():
+    """The range check_central_bounds' docstring states: the sqrt bound holds at q <= 27
+    for n <= 60, fails at q = 28 only at n = 2, and at some n <= 5 for q = 29..40."""
+    def failures(q, nmax):
+        return [n for n in range(1, nmax + 1) if n * (q - 1) % 2 == 0
+                and not pascal.check_central_bounds(q, n).sqrt_bound]
+
+    assert all(failures(q, 60) == [] for q in range(2, 28))
+    assert failures(28, 60) == [2]
+    assert all(failures(q, 5) for q in range(29, 41))
+    check = pascal.check_central_bounds(31, 1)
+    assert check.central == 1 and check.power_bound and not check.sqrt_bound
+
+
 def mpmath_central_sqrt_bound(q: int, n: int) -> bool:
     """The sqrt bound of check_central_bounds as first written."""
     central = pascal.central_coefficient(q, n)
