@@ -39,6 +39,7 @@ from .bounds import ConstantT, TMode, achievable_random, max_correctable_fractio
 from .core import (
     SignatureMatrix,
     _check_u_limit,
+    _digit_sums,
     _int_dtype,
     _integer_batch,
     _min_distance_search,
@@ -65,9 +66,14 @@ from .linear import (
 CALIBRATED_RANDOM_K = {(8, 3, 1): 12}
 # construct_random lengthens k after each run of this many rejected draws.
 RANDOM_BATCH = 25
-# find_inner_matrix walks at most this many candidates.  Since q >= 2 and
-# p >= 1, it keeps s <= 18, inside the verifier's default 3^n limit.
-INNER_SEARCH_SPACE = 300_000
+# find_inner_matrix refuses a search costing more than this many
+# candidates x sign patterns x rows.  At the largest q it admits for each
+# (p, s), a whole space took at most 0.7 s for p >= 2 and about 4 s for
+# p = 1 on a 2-vCPU Xeon; (p, s, q) = (3, 5, 3) costs 5.2e9 and took 0.3 s.
+INNER_SEARCH_BUDGET = 6 * 10 ** 9
+# Sign-pattern weights find_inner_matrix holds in one block: bounds its
+# memory, a few bytes a weight, independently of the space.
+INNER_BLOCK = 1 << 22
 
 
 def construct_trivial(n: int) -> SignatureMatrix:
@@ -348,28 +354,97 @@ class InnerSearchResult:
     checked: int
 
 
+def _inner_distances(p: int, s: int, q: int):
+    """Yield the d_min of every p x s matrix over q, in product order, a block at a time.
+
+    Candidate c has as rows the base-q^s digits of c, most significant
+    first, and wt(M z) counts its rows with row . z != 0.  -z has the
+    weight of z, so one sign pattern of each +-z pair is kept, and a
+    candidate's weights are the sums of its rows' entries in the row table
+    [row . z != 0].  No block holds more than about INNER_BLOCK weights.
+    """
+    import numpy as np
+
+    values = np.min_scalar_type(-1 - s * (q - 1))   # holds every row . z and its negation
+    weight = np.min_scalar_type(p)
+    signs = _digit_sums(np.eye(s, dtype=values), (-1, 0, 1))[(3 ** s + 1) // 2:]
+    width = len(signs)
+    per = max(1, INNER_BLOCK // width)              # candidates, or rows, a block holds
+    # Row i of `products` holds row . z for the row whose last `low` entries
+    # are the digits of i, and whose other entries are 0.
+    low = s
+    while q ** low > per:
+        low -= 1
+    # With no column, _digit_sums reads no digit; range(q) would be a q-entry array.
+    products = _digit_sums(signs[:, s - low:][:, ::-1].T, range(q) if low else ())
+    if low == s:
+        # The row table fits a block.  The last rows of a candidate take all
+        # their values in turn, so their weights are stacked once, by
+        # broadcasting, into `tail`, and each block adds a run of heads to it.
+        table = np.ascontiguousarray((products != 0).T, dtype=weight)     # pattern x row
+        tail, ones = table, 1
+        while ones < p and tail.shape[1] * q ** s <= per:
+            tail = (tail[:, :, None] + table[:, None, :]).reshape(width, -1)
+            ones += 1
+        heads, step = q ** (s * (p - ones)), max(1, per // tail.shape[1])
+        for start in range(0, heads, step):
+            index = np.arange(start, min(start + step, heads))
+            head = np.zeros((width, len(index)), weight)
+            for i in range(p - ones):
+                head += table[:, index // q ** (s * i) % q ** s]
+            yield (head[:, :, None] + tail[:, None, :]).min(axis=0).ravel()
+        return
+    # One row's table spans blocks: a block is a run of `step` leads, a
+    # row's first s - low entries, each with every value of its last low
+    # entries, after the same p - 1 rows.  Its weights run along the longer
+    # axis in memory: the patterns', one lead at a time, or the rows'.
+    by_pattern = width >= len(products)
+    lows = products.T if by_pattern else np.ascontiguousarray(products.T)
+    columns = np.ascontiguousarray(signs.T)         # row j: entry j's sign in each pattern
+    leads, step = q ** (s - low), 1 if by_pattern else per // len(products)
+    for head in product(range(q), repeat=s * (p - 1)):
+        rows = np.array(head, dtype=values).reshape(p - 1, s)
+        base = (rows @ columns != 0).sum(axis=0, dtype=weight)[:, None, None]
+        for start in range(0, leads, step):
+            index = np.arange(start, min(start + step, leads))
+            shift = np.zeros((width, len(index)), values)
+            for j, column in enumerate(columns[:s - low]):
+                shift += column[:, None] * (index // q ** (s - low - 1 - j) % q).astype(values)
+            yield (np.not_equal(lows[:, None, :], -shift[:, :, None]) + base).min(axis=0).ravel()
+
+
 def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult:
     """Find a p x s matrix with d_min >= 2*t_inner + 1, verified exactly.
 
-    Walks all q^(p*s) candidate matrices in row-major order, so the search
+    Takes all q^(p*s) candidate matrices in row-major order, so the search
     is its own existence proof: exhausting the space proves emptiness.  A
-    space above INNER_SEARCH_SPACE is refused before the walk, and so is a
-    target no p-row matrix reaches: wt(M z) <= p, so d_min <= p.
+    search whose cost, q^(p*s) candidates x (3^s - 1)/2 sign patterns x p
+    rows, is above INNER_SEARCH_BUDGET is refused before it starts, and so
+    is a target no p-row matrix reaches: wt(M z) <= p, so d_min <= p.
     """
     if p < 1 or s < 1:
         raise ValueError("need p >= 1 and s >= 1")
     target = 2 * t_inner + 1
-    # q >= 2, so q^(p*s) >= 2^(p*s): a large p*s is refused before the power is formed.
-    if p * s > INNER_SEARCH_SPACE.bit_length() or (space := q ** (p * s)) > INNER_SEARCH_SPACE:
-        raise ValueError(f"the q^(p*s) candidate inner matrices exceed the exhaustive "
-                         f"budget {INNER_SEARCH_SPACE}; choose a smaller --q, --p or --s")
+    # The cost is at least q and, as q >= 2, at least 2^(p*s): either check
+    # refuses a large q or p*s before a power is formed.
+    budget = INNER_SEARCH_BUDGET
+    if p * s > budget.bit_length() or q > budget \
+            or (space := q ** (p * s)) * (3 ** s - 1) // 2 * p > budget:
+        raise ValueError(f"the inner search's q^(p*s) candidates x (3^s - 1)/2 sign patterns "
+                         f"x p rows exceed its budget {budget}; choose a smaller --q, --p or --s")
     if target > p:
         raise ValueError(f"--inner-t must be at most (p - 1) // 2 = {(p - 1) // 2}, as d_min <= p")
-    for checked, entries in enumerate(product(range(q), repeat=p * s), 1):
-        rows = tuple(entries[i * s:(i + 1) * s] for i in range(p))
-        matrix = SignatureMatrix(q=q, rows=rows)
-        if min_distinguishing_weight(matrix).d_min >= target:
-            return InnerSearchResult(matrix, checked)
+    import numpy as np
+
+    checked = 0
+    for distances in _inner_distances(p, s, q):
+        hits = np.flatnonzero(distances >= target)
+        if hits.size:
+            checked += int(hits[0]) + 1
+            entries = [(checked - 1) // q ** e % q for e in range(p * s - 1, -1, -1)]
+            rows = tuple(tuple(entries[i * s:(i + 1) * s]) for i in range(p))
+            return InnerSearchResult(SignatureMatrix(q=q, rows=rows), checked)
+        checked += len(distances)
     raise ConstructionFailure(
         f"exhausted all {space} candidate {p}x{s} matrices over q={q}: "
         f"none reaches d_min >= {target}",

@@ -579,12 +579,13 @@ def test_construct_defaults_apply_when_unset(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-INNER_SPACE = ("construct: the q^(p*s) candidate inner matrices exceed the exhaustive "
-               "budget 300000; choose a smaller --q, --p or --s")
+INNER_SPACE = ("construct: the inner search's q^(p*s) candidates x (3^s - 1)/2 sign patterns "
+               "x p rows exceed its budget 6000000000; choose a smaller --q, --p or --s")
 
 
 @pytest.mark.parametrize("p, s", [
-    ("4", "3"),
+    # 3^16 candidates x 40 patterns x 4 rows = 6.9e9
+    ("4", "4"),
     # p*s alone puts the space over the budget, and the power is not formed
     ("100", "10"),
     ("1000", "10"),
@@ -778,6 +779,12 @@ REFUSALS = {
          "--max-attempts", "3", "--out", "{tmp}/a.json"], 1,
         "construction failed after 3 attempts: no 6x6 matrix with d_min >= 3 found "
         "in 3 attempts (0 length escalations from 6)", ()),
+    # the stacked inner search exhausts all 3^12 ternary 3x4 matrices: none has d_min 3
+    "construct-inner-exhausted": (["construct", *KRONECKER[:9], "4", *KRONECKER[10:],
+                                   "--out", "{tmp}/a.json"], 1,
+                                  "construction failed after 531441 attempts: exhausted all "
+                                  "531441 candidate 3x4 matrices over q=3: none reaches "
+                                  "d_min >= 3", ()),
     "construct-limit-z": (["construct", *RANDOM, "--limit-z", "5", "--out", "{tmp}/a.json"], 2,
                           "construct: n=8 exceeds the 3^n enumeration limit (5); "
                           "raise --limit-z to override", ()),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import inner_reference
 from random_reference import construct_random_reference
 from sigmac import cli
 from sigmac import constructions as cons
@@ -285,6 +286,75 @@ def test_find_inner_matrix_emptiness_proof():
     with pytest.raises(ConstructionFailure) as info:
         cons.find_inner_matrix(3, 2, 2, 1)
     assert info.value.attempts == 2 ** 6
+
+
+def stacked_distances(p, s, q):
+    return np.concatenate(list(cons._inner_distances(p, s, q)))
+
+
+# The last four are edge shapes: one row, one column, q = 2, and one row
+# over q = 7, whose rows outnumber its 4 sign patterns in a small block.
+@pytest.mark.parametrize("p, s, q", [(2, 3, 3), (2, 2, 4), (3, 2, 3),
+                                     (1, 3, 3), (3, 1, 2), (2, 2, 2), (1, 2, 7)])
+# 1 << 22 is the default; the small blocks split the row table, down to one row a block.
+@pytest.mark.parametrize("block", [1 << 22, 300, 60, 40, 8, 1])
+def test_stacked_distances_match_walk(monkeypatch, p, s, q, block):
+    monkeypatch.setattr(cons, "INNER_BLOCK", block)
+    walked = [min_distinguishing_weight(m).d_min for m in inner_reference.candidates(p, s, q)]
+    assert stacked_distances(p, s, q).tolist() == walked
+
+
+@pytest.mark.parametrize("p, s, q, t_inner", [
+    (3, 2, 3, 1), (2, 2, 2, 0), (3, 1, 2, 1), (5, 2, 2, 1), (4, 2, 3, 1), (3, 2, 2, 1),
+])
+def test_find_inner_matrix_matches_walk(p, s, q, t_inner):
+    try:
+        expected = inner_reference.find_inner_matrix_reference(p, s, q, t_inner)
+    except ConstructionFailure as failure:
+        with pytest.raises(ConstructionFailure) as info:
+            cons.find_inner_matrix(p, s, q, t_inner)
+        assert (info.value.attempts, str(info.value)) == (failure.attempts, str(failure))
+    else:
+        assert cons.find_inner_matrix(p, s, q, t_inner) == expected
+
+
+def test_find_inner_matrix_one_row_above_a_block():
+    # q > INNER_BLOCK: each block is one row, and the second, (1), is a hit
+    q = cons.INNER_BLOCK + 1
+    assert cons.find_inner_matrix(1, 1, q, 0) == cons.InnerSearchResult(
+        SignatureMatrix(q=q, rows=((1,),)), 2)
+
+
+TERNARY_3X4 = (3, 4, 3)     # 531,441 candidates, above the walk's old 300,000
+
+
+def test_stacked_search_ternary_3x4():
+    distances = stacked_distances(*TERNARY_3X4)
+    assert np.bincount(distances).tolist() == [228_009, 301_152, 2_280]
+    assert [int(np.argmax(distances >= d)) + 1 for d in (1, 2)] == [451, 36_501]
+    assert cons.find_inner_matrix(*TERNARY_3X4, t_inner=0).checked == 451
+    with pytest.raises(ConstructionFailure) as info:
+        cons.find_inner_matrix(*TERNARY_3X4, t_inner=1)
+    assert info.value.attempts == 3 ** 12
+
+
+def test_stacked_search_memory_is_bounded(monkeypatch):
+    """Peak below two blocks, where the whole space's weights would take 21 MB."""
+    import tracemalloc
+
+    whole = 3 ** 12 * (3 ** 4 - 1) // 2
+    assert 2 * cons.INNER_BLOCK < whole
+    tracemalloc.start()
+    try:
+        distances = stacked_distances(*TERNARY_3X4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cons.INNER_BLOCK
+    # a block of 4096 weights holds the 81 candidates that differ in their last row
+    monkeypatch.setattr(cons, "INNER_BLOCK", 1 << 12)
+    assert np.array_equal(stacked_distances(*TERNARY_3X4), distances)
+    assert cons.find_inner_matrix(*TERNARY_3X4, t_inner=0).checked == 451
 
 
 def test_plan_epsilon_split():
