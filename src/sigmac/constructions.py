@@ -68,11 +68,14 @@ CALIBRATED_RANDOM_K = {(8, 3, 1): 12}
 RANDOM_BATCH = 25
 # find_inner_matrix refuses a search costing more than this many
 # candidates x sign patterns x rows.  At the largest q it admits for each
-# (p, s), a whole space took at most 0.7 s for p >= 2 and about 4 s for
-# p = 1 on a 2-vCPU Xeon; (p, s, q) = (3, 5, 3) costs 5.2e9 and took 0.3 s.
+# (p, s), a whole space took, on a 2-vCPU Xeon, at most 0.5 s for p >= 2
+# but 2.8 s for (2, 9, 2), and at most 6 s for p = 1, s >= 2, as for
+# (1, 2, 38729) and (1, 12, 2); (p, s, q) = (3, 5, 3) costs 5.2e9 and took
+# 0.3 s.  At p = s = 1 the second candidate, (1), is always a hit.
 INNER_SEARCH_BUDGET = 6 * 10 ** 9
 # Sign-pattern weights find_inner_matrix holds in one block: bounds its
-# memory, a few bytes a weight, independently of the space.
+# memory independently of the space, at a few bytes a weight, or about 30
+# where a block's rows are single entries of a q above the block (p = s = 1).
 INNER_BLOCK = 1 << 22
 
 
@@ -396,12 +399,10 @@ def _inner_distances(p: int, s: int, q: int):
         return
     # One row's table spans blocks: a block is a run of `step` leads, a
     # row's first s - low entries, each with every value of its last low
-    # entries, after the same p - 1 rows.  Its weights run along the longer
-    # axis in memory: the patterns', one lead at a time, or the rows'.
-    by_pattern = width >= len(products)
-    lows = products.T if by_pattern else np.ascontiguousarray(products.T)
+    # entries, after the same p - 1 rows.
+    lows = np.ascontiguousarray(products.T)         # pattern x row
     columns = np.ascontiguousarray(signs.T)         # row j: entry j's sign in each pattern
-    leads, step = q ** (s - low), 1 if by_pattern else per // len(products)
+    leads, step = q ** (s - low), max(1, per // len(products))
     for head in product(range(q), repeat=s * (p - 1)):
         rows = np.array(head, dtype=values).reshape(p - 1, s)
         base = (rows @ columns != 0).sum(axis=0, dtype=weight)[:, None, None]

@@ -293,7 +293,7 @@ def stacked_distances(p, s, q):
 
 
 # The last four are edge shapes: one row, one column, q = 2, and one row
-# over q = 7, whose rows outnumber its 4 sign patterns in a small block.
+# over q = 7, whose row table, in a small block, spans runs of leads.
 @pytest.mark.parametrize("p, s, q", [(2, 3, 3), (2, 2, 4), (3, 2, 3),
                                      (1, 3, 3), (3, 1, 2), (2, 2, 2), (1, 2, 7)])
 # 1 << 22 is the default; the small blocks split the row table, down to one row a block.
@@ -319,7 +319,7 @@ def test_find_inner_matrix_matches_walk(p, s, q, t_inner):
 
 
 def test_find_inner_matrix_one_row_above_a_block():
-    # q > INNER_BLOCK: each block is one row, and the second, (1), is a hit
+    # q > INNER_BLOCK: the row table spans blocks, and the second row, (1), is a hit
     q = cons.INNER_BLOCK + 1
     assert cons.find_inner_matrix(1, 1, q, 0) == cons.InnerSearchResult(
         SignatureMatrix(q=q, rows=((1,),)), 2)
