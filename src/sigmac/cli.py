@@ -401,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         code, line = EXIT_USAGE, f"{subcommand}: {exc}; raise --limit-{exc.budget} to override"
     except ConstructionFailure as exc:
-        code, line = EXIT_CHECK_FAILED, f"construction failed after {exc.attempts} attempts: {exc}"
+        code, line = EXIT_CHECK_FAILED, f"construction failed after {exc.attempts_text} attempts: {exc}"
     except (ValueError, OverflowError, MemoryError) as exc:  # an input out of range
         code, line = EXIT_USAGE, f"{subcommand}: {str(exc) or 'out of memory'}"
     except SigmacError as exc:

@@ -32,7 +32,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .bounds import ConstantT, TMode, achievable_random, max_correctable_fraction
@@ -66,17 +65,15 @@ from .linear import (
 CALIBRATED_RANDOM_K = {(8, 3, 1): 12}
 # construct_random lengthens k after each run of this many rejected draws.
 RANDOM_BATCH = 25
-# find_inner_matrix refuses a search costing more than this many
-# candidates x sign patterns x rows.  At the largest q it admits for each
-# (p, s), a whole space took, on a 2-vCPU Xeon, at most 0.5 s for p >= 2
-# but 2.8 s for (2, 9, 2), and at most 6 s for p = 1, s >= 2, as for
-# (1, 2, 38729) and (1, 12, 2); (p, s, q) = (3, 5, 3) costs 5.2e9 and took
-# 0.3 s.  At p = s = 1 the second candidate, (1), is always a hit.
-INNER_SEARCH_BUDGET = 6 * 10 ** 9
-# Sign-pattern weights find_inner_matrix holds in one block: bounds its
-# memory independently of the space, at a few bytes a weight, or about 30
-# where a block's rows are single entries of a q above the block (p = s = 1).
-INNER_BLOCK = 1 << 22
+# find_inner_matrix refuses a row table, q^s rows x (3^s - 1)/2 sign
+# patterns, of more entries than this, a byte each.  On a 2-vCPU Xeon, a
+# search's traced peak at the cap was at most 55 MB, at (p, s, q) =
+# (1, 1, 2^22), and 11 MB for s >= 2.
+INNER_TABLE_CAP = 1 << 22
+# find_inner_matrix gives up after this many steps, each one numpy pass over
+# at most the table (1.3 ms at the cap).  Refused searches took at most
+# 4.5 s, as (7, 8, 2, 1); (5, 6, 3, 1) is decided in 75,355 steps.
+INNER_STEP_CAP = 1 << 18
 
 
 def construct_trivial(n: int) -> SignatureMatrix:
@@ -357,100 +354,75 @@ class InnerSearchResult:
     checked: int
 
 
-def _inner_distances(p: int, s: int, q: int):
-    """Yield the d_min of every p x s matrix over q, in product order, a block at a time.
-
-    Candidate c has as rows the base-q^s digits of c, most significant
-    first, and wt(M z) counts its rows with row . z != 0.  -z has the
-    weight of z, so one sign pattern of each +-z pair is kept, and a
-    candidate's weights are the sums of its rows' entries in the row table
-    [row . z != 0].  No block holds more than about INNER_BLOCK weights.
-    """
-    import numpy as np
-
-    values = np.min_scalar_type(-1 - s * (q - 1))   # holds every row . z and its negation
-    weight = np.min_scalar_type(p)
-    signs = _digit_sums(np.eye(s, dtype=values), (-1, 0, 1))[(3 ** s + 1) // 2:]
-    width = len(signs)
-    per = max(1, INNER_BLOCK // width)              # candidates, or rows, a block holds
-    # Row i of `products` holds row . z for the row whose last `low` entries
-    # are the digits of i, and whose other entries are 0.
-    low = s
-    while q ** low > per:
-        low -= 1
-    # With no column, _digit_sums reads no digit; range(q) would be a q-entry array.
-    products = _digit_sums(signs[:, s - low:][:, ::-1].T, range(q) if low else ())
-    if low == s:
-        # The row table fits a block.  The last rows of a candidate take all
-        # their values in turn, so their weights are stacked once, by
-        # broadcasting, into `tail`, and each block adds a run of heads to it.
-        table = np.ascontiguousarray((products != 0).T, dtype=weight)     # pattern x row
-        tail, ones = table, 1
-        while ones < p and tail.shape[1] * q ** s <= per:
-            tail = (tail[:, :, None] + table[:, None, :]).reshape(width, -1)
-            ones += 1
-        heads, step = q ** (s * (p - ones)), max(1, per // tail.shape[1])
-        for start in range(0, heads, step):
-            index = np.arange(start, min(start + step, heads))
-            head = np.zeros((width, len(index)), weight)
-            for i in range(p - ones):
-                head += table[:, index // q ** (s * i) % q ** s]
-            yield (head[:, :, None] + tail[:, None, :]).min(axis=0).ravel()
-        return
-    # One row's table spans blocks: a block is a run of `step` leads, a
-    # row's first s - low entries, each with every value of its last low
-    # entries, after the same p - 1 rows.
-    lows = np.ascontiguousarray(products.T)         # pattern x row
-    columns = np.ascontiguousarray(signs.T)         # row j: entry j's sign in each pattern
-    leads, step = q ** (s - low), max(1, per // len(products))
-    for head in product(range(q), repeat=s * (p - 1)):
-        rows = np.array(head, dtype=values).reshape(p - 1, s)
-        base = (rows @ columns != 0).sum(axis=0, dtype=weight)[:, None, None]
-        for start in range(0, leads, step):
-            index = np.arange(start, min(start + step, leads))
-            shift = np.zeros((width, len(index)), values)
-            for j, column in enumerate(columns[:s - low]):
-                shift += column[:, None] * (index // q ** (s - low - 1 - j) % q).astype(values)
-            yield (np.not_equal(lows[:, None, :], -shift[:, :, None]) + base).min(axis=0).ravel()
-
-
 def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult:
     """Find a p x s matrix with d_min >= 2*t_inner + 1, verified exactly.
 
-    Takes all q^(p*s) candidate matrices in row-major order, so the search
-    is its own existence proof: exhausting the space proves emptiness.  A
-    search whose cost, q^(p*s) candidates x (3^s - 1)/2 sign patterns x p
-    rows, is above INNER_SEARCH_BUDGET is refused before it starts, and so
-    is a target no p-row matrix reaches: wt(M z) <= p, so d_min <= p.
+    Returns the first such matrix in the row-major product order of all
+    q^(p*s) candidates, with `checked` its index there plus one, so the
+    search is its own existence proof: exhausting it proves emptiness.
+    Permuting rows keeps d_min, and sorting a hit's rows gives a hit no
+    later in product order, so the first hit has nondecreasing rows.  The
+    search is a depth-first branch and bound over such rows, least row
+    first: wt(M z) counts the rows with row . z != 0, and a branch is cut
+    when some sign pattern's weight, plus the rows still to add, is below
+    the target.  Refused before any power or table is formed: a row table
+    above INNER_TABLE_CAP entries, a p above INNER_STEP_CAP (a hit takes a
+    step a row), and a target no p-row matrix reaches (wt(M z) <= p, so
+    d_min <= p); refused once INNER_STEP_CAP steps have not decided it.
     """
     if p < 1 or s < 1:
         raise ValueError("need p >= 1 and s >= 1")
     target = 2 * t_inner + 1
-    # The cost is at least q and, as q >= 2, at least 2^(p*s): either check
-    # refuses a large q or p*s before a power is formed.
-    budget = INNER_SEARCH_BUDGET
-    if p * s > budget.bit_length() or q > budget \
-            or (space := q ** (p * s)) * (3 ** s - 1) // 2 * p > budget:
-        raise ValueError(f"the inner search's q^(p*s) candidates x (3^s - 1)/2 sign patterns "
-                         f"x p rows exceed its budget {budget}; choose a smaller --q, --p or --s")
+    # The table has at least q and, as q >= 2, at least 2^s entries: either
+    # check refuses a large q or s before a power is formed.
+    cap = INNER_TABLE_CAP
+    if s > cap.bit_length() or q > cap or q ** s * ((3 ** s - 1) // 2) > cap:
+        raise ValueError(f"the inner search's table of q^s rows x (3^s - 1)/2 sign patterns "
+                         f"exceeds its cap of {cap} entries; choose a smaller --q or --s")
+    if p > INNER_STEP_CAP:
+        raise ValueError(f"--p must be at most the inner search's {INNER_STEP_CAP} steps, "
+                         f"as a hit takes a step a row")
     if target > p:
         raise ValueError(f"--inner-t must be at most (p - 1) // 2 = {(p - 1) // 2}, as d_min <= p")
     import numpy as np
 
-    checked = 0
-    for distances in _inner_distances(p, s, q):
-        hits = np.flatnonzero(distances >= target)
-        if hits.size:
-            checked += int(hits[0]) + 1
-            entries = [(checked - 1) // q ** e % q for e in range(p * s - 1, -1, -1)]
-            rows = tuple(tuple(entries[i * s:(i + 1) * s]) for i in range(p))
-            return InnerSearchResult(SignatureMatrix(q=q, rows=rows), checked)
-        checked += len(distances)
-    raise ConstructionFailure(
-        f"exhausted all {space} candidate {p}x{s} matrices over q={q}: "
-        f"none reaches d_min >= {target}",
-        attempts=space,
-    )
+    values = np.min_scalar_type(-1 - s * (q - 1))   # holds every row . z and its negation
+    # One sign pattern of each +-z pair: -z has the weight of z.
+    signs = _digit_sums(np.eye(s, dtype=values), (-1, 0, 1))[(3 ** s + 1) // 2:]
+    # table[j, i] = [row i . z_j != 0], row i the base-q digits of i, most
+    # significant first, built a pattern at a time.
+    table = np.empty((len(signs), q ** s), dtype=bool)
+    for z, line in zip(signs, table):
+        np.not_equal(_digit_sums(z[::-1, None], np.arange(q, dtype=values))[:, 0], 0, out=line)
+    # weights[d] holds the pattern weights of path[:d]; a step looks for the
+    # least row >= `row` that can follow path.
+    path, weights, row = [], [np.zeros(len(signs), dtype=int)], 0
+    for _ in range(INNER_STEP_CAP):
+        # Every weight of a node that was not cut is at least need - 1, so a
+        # row is cut iff it is 0 on some pattern of weight need - 1.
+        need = target - (p - len(path) - 1)
+        alive = table[weights[-1] < need, row:].all(axis=0)
+        if alive.size and alive[i := int(alive.argmax())]:
+            row += i
+            path.append(row)
+            if len(path) == p:
+                checked = 0
+                for r in path:
+                    checked = checked * q ** s + r
+                rows = tuple(tuple(r // q ** e % q for e in range(s - 1, -1, -1)) for r in path)
+                return InnerSearchResult(SignatureMatrix(q=q, rows=rows), checked + 1)
+            weights.append(weights[-1] + table[:, row])
+        elif path:
+            row = path.pop() + 1
+            weights.pop()
+        else:
+            raise ConstructionFailure(
+                f"exhausted all {q}^{p * s} candidate {p}x{s} matrices over q={q}: "
+                f"none reaches d_min >= {target}",
+                attempts=q ** (p * s), attempts_text=f"{q}^{p * s}",
+            )
+    raise ValueError(f"the inner search took {INNER_STEP_CAP} steps without a decision; "
+                     f"choose a smaller --q, --p or --s")
 
 
 def plan_epsilon_split(q: int, epsilon) -> tuple[Fraction, Fraction]:

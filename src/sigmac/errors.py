@@ -36,8 +36,13 @@ class DecodingFailure(SigmacError):
 
 
 class ConstructionFailure(SigmacError):
-    """A randomized or exhaustive search exhausted its budget."""
+    """A randomized or exhaustive search exhausted its budget.
 
-    def __init__(self, message: str, attempts: int = 0):
+    `attempts_text` writes `attempts` where its digits would be too many to
+    print, as "2^20002"; by default it is the digits.
+    """
+
+    def __init__(self, message: str, attempts: int = 0, attempts_text: str | None = None):
         super().__init__(message)
         self.attempts = attempts
+        self.attempts_text = str(attempts) if attempts_text is None else attempts_text

@@ -579,14 +579,12 @@ def test_construct_defaults_apply_when_unset(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-INNER_SPACE = ("construct: the inner search's q^(p*s) candidates x (3^s - 1)/2 sign patterns "
-               "x p rows exceed its budget 6000000000; choose a smaller --q, --p or --s")
+INNER_SPACE = ("construct: the inner search's table of q^s rows x (3^s - 1)/2 sign patterns "
+               "exceeds its cap of 4194304 entries; choose a smaller --q or --s")
 
 
 @pytest.mark.parametrize("p, s", [
-    # 3^16 candidates x 40 patterns x 4 rows = 6.9e9
-    ("4", "4"),
-    # p*s alone puts the space over the budget, and the power is not formed
+    # 3^10 rows x 29,524 patterns: refused before a power of p*s is formed
     ("100", "10"),
     ("1000", "10"),
 ])
@@ -597,6 +595,32 @@ def test_construct_kronecker_inner_space_above_budget(tmp_path, capsys, p, s):
                 "--inner-t", "1", "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", INNER_SPACE + "\n")
     assert not out.exists()
+
+
+def test_construct_kronecker_inner_4x4(tmp_path, capsys):
+    # 3^16 candidates: the first with d_min 3 is found among row multisets
+    out = tmp_path / "k.json"
+    assert run(["construct", "--method", "kronecker", "--q", "3", "--epsilon", "1/16",
+                "--p", "4", "--s", "4", "--r", "1", "--outer", "repetition", "--c1", "6",
+                "--inner-t", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"kronecker: wrote {out} (k=24, n=4, q=3, d_min=18)\n", "")
+
+
+def test_construct_compressing_kronecker(tmp_path, capsys):
+    """The first artifact with k < n: a 5 x 6 inner matrix that corrects an error."""
+    out = tmp_path / "k.json"
+    assert run(["construct", "--method", "kronecker", "--q", "3", "--epsilon", "1/16",
+                "--p", "5", "--s", "6", "--r", "1", "--outer", "repetition", "--c1", "1",
+                "--inner-t", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"kronecker: wrote {out} (k=5, n=6, q=3, d_min=3)\n", "")
+    obj = json.loads(out.read_text())
+    assert (obj["d_min"], obj["design_t"]) == (3, 1)
+    code = constructions.load_artifact(obj)
+    assert (code.matrix.k, code.matrix.n) == (5, 6)
+    for mode in (core.RANDOM_ERRORS, core.WORST_CASE_ERRORS):
+        assert run(["simulate", "--in", str(out), "--t", "1", "--rounds", "40", "--seed", "2",
+                    "--error-mode", mode]) == 0
+        assert capsys.readouterr() == (f"simulate: rounds=40 t=1 mode={mode} failures=0\n", "")
 
 
 def test_construct_kronecker_negative_inner_t(tmp_path, capsys):
@@ -779,12 +803,21 @@ REFUSALS = {
          "--max-attempts", "3", "--out", "{tmp}/a.json"], 1,
         "construction failed after 3 attempts: no 6x6 matrix with d_min >= 3 found "
         "in 3 attempts (0 length escalations from 6)", ()),
-    # the stacked inner search exhausts all 3^12 ternary 3x4 matrices: none has d_min 3
+    # the inner search proves that none of the 3^12 ternary 3x4 matrices has d_min 3
     "construct-inner-exhausted": (["construct", *KRONECKER[:9], "4", *KRONECKER[10:],
                                    "--out", "{tmp}/a.json"], 1,
-                                  "construction failed after 531441 attempts: exhausted all "
-                                  "531441 candidate 3x4 matrices over q=3: none reaches "
+                                  "construction failed after 3^12 attempts: exhausted all "
+                                  "3^12 candidate 3x4 matrices over q=3: none reaches "
                                   "d_min >= 3", ()),
+    # d_min = p needs a row nonzero on every sign pattern, and no binary 2-column
+    # row is: 2^20002 candidates, a count too long to print in decimal
+    "construct-inner-huge-space": (["construct", "--method", "kronecker", "--q", "2",
+                                    "--epsilon", "1/20", "--p", "10001", "--s", "2", "--r", "1",
+                                    "--outer", "repetition", "--c1", "1", "--inner-t", "5000",
+                                    "--out", "{tmp}/a.json"], 1,
+                                   "construction failed after 2^20002 attempts: exhausted all "
+                                   "2^20002 candidate 10001x2 matrices over q=2: none reaches "
+                                   "d_min >= 10001", ()),
     "construct-limit-z": (["construct", *RANDOM, "--limit-z", "5", "--out", "{tmp}/a.json"], 2,
                           "construct: n=8 exceeds the 3^n enumeration limit (5); "
                           "raise --limit-z to override", ()),
@@ -966,7 +999,8 @@ def kronecker_with(option, value):
     # a row of 2^62 entries: its list is refused before anything is allocated
     (["pascal", "--row", "--q", str(2 ** 62), "--n", "1"], "pascal: out of memory"),
     (["construct", *kronecker_with("--q", BIG)], INNER_SPACE),
-    (["construct", *kronecker_with("--p", BIG)], INNER_SPACE),
+    (["construct", *kronecker_with("--p", BIG)],
+     "construct: --p must be at most the inner search's 262144 steps, as a hit takes a step a row"),
     # wt(M z) <= p, so no 3-row inner matrix corrects 2 errors: refused before the walk
     (["construct", *kronecker_with("--inner-t", BIG)],
      "construct: --inner-t must be at most (p - 1) // 2 = 1, as d_min <= p"),

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -288,26 +289,15 @@ def test_find_inner_matrix_emptiness_proof():
     assert info.value.attempts == 2 ** 6
 
 
-def stacked_distances(p, s, q):
-    return np.concatenate(list(cons._inner_distances(p, s, q)))
-
-
-# The last four are edge shapes: one row, one column, q = 2, and one row
-# over q = 7, whose row table, in a small block, spans runs of leads.
+# The last four are edge shapes: one row, one column, q = 2, and one row over q = 7.
 @pytest.mark.parametrize("p, s, q", [(2, 3, 3), (2, 2, 4), (3, 2, 3),
                                      (1, 3, 3), (3, 1, 2), (2, 2, 2), (1, 2, 7)])
-# 1 << 22 is the default; the small blocks split the row table, down to one row a block.
-@pytest.mark.parametrize("block", [1 << 22, 300, 60, 40, 8, 1])
-def test_stacked_distances_match_walk(monkeypatch, p, s, q, block):
-    monkeypatch.setattr(cons, "INNER_BLOCK", block)
+def test_stacked_distances_match_walk(p, s, q):
     walked = [min_distinguishing_weight(m).d_min for m in inner_reference.candidates(p, s, q)]
-    assert stacked_distances(p, s, q).tolist() == walked
+    assert inner_reference.stacked_distances(p, s, q).tolist() == walked
 
 
-@pytest.mark.parametrize("p, s, q, t_inner", [
-    (3, 2, 3, 1), (2, 2, 2, 0), (3, 1, 2, 1), (5, 2, 2, 1), (4, 2, 3, 1), (3, 2, 2, 1),
-])
-def test_find_inner_matrix_matches_walk(p, s, q, t_inner):
+def assert_same_search(p, s, q, t_inner):
     try:
         expected = inner_reference.find_inner_matrix_reference(p, s, q, t_inner)
     except ConstructionFailure as failure:
@@ -318,18 +308,28 @@ def test_find_inner_matrix_matches_walk(p, s, q, t_inner):
         assert cons.find_inner_matrix(p, s, q, t_inner) == expected
 
 
-def test_find_inner_matrix_one_row_above_a_block():
-    # q > INNER_BLOCK: the row table spans blocks, and the second row, (1), is a hit
-    q = cons.INNER_BLOCK + 1
-    assert cons.find_inner_matrix(1, 1, q, 0) == cons.InnerSearchResult(
-        SignatureMatrix(q=q, rows=((1,),)), 2)
+@pytest.mark.parametrize("p, s, q, t_inner", [
+    (3, 2, 3, 1), (2, 2, 2, 0), (3, 1, 2, 1), (5, 2, 2, 1), (4, 2, 3, 1), (3, 2, 2, 1),
+])
+def test_find_inner_matrix_matches_walk(p, s, q, t_inner):
+    assert_same_search(p, s, q, t_inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_find_inner_matrix_matches_walk_on_small_spaces(data):
+    """At most 4096 candidates of at most 4 columns, so the walk on each stays fast."""
+    p = data.draw(st.integers(1, 6), label="p")
+    s = data.draw(st.integers(1, min(4, 12 // p)), label="s")
+    q = data.draw(st.integers(2, max(q for q in range(2, 65) if q ** (p * s) <= 4096)), label="q")
+    assert_same_search(p, s, q, data.draw(st.integers(0, (p - 1) // 2), label="t_inner"))
 
 
 TERNARY_3X4 = (3, 4, 3)     # 531,441 candidates, above the walk's old 300,000
 
 
 def test_stacked_search_ternary_3x4():
-    distances = stacked_distances(*TERNARY_3X4)
+    distances = inner_reference.stacked_distances(*TERNARY_3X4)
     assert np.bincount(distances).tolist() == [228_009, 301_152, 2_280]
     assert [int(np.argmax(distances >= d)) + 1 for d in (1, 2)] == [451, 36_501]
     assert cons.find_inner_matrix(*TERNARY_3X4, t_inner=0).checked == 451
@@ -338,23 +338,85 @@ def test_stacked_search_ternary_3x4():
     assert info.value.attempts == 3 ** 12
 
 
-def test_stacked_search_memory_is_bounded(monkeypatch):
-    """Peak below two blocks, where the whole space's weights would take 21 MB."""
+@pytest.mark.parametrize("p, s, q, checked, rows", [
+    # the first 4x4 ternary matrix with d_min 3, among 3^16 candidates
+    (4, 4, 3, 9_347_723, ((0, 1, 2, 2), (1, 2, 0, 2), (2, 0, 1, 2), (2, 2, 2, 1))),
+    # the first compressing one, s > p, out of 3^30 candidates
+    (5, 6, 3, 1_471_649_284_195, ((0, 0, 0, 0, 1, 2), (0, 1, 2, 2, 0, 0), (1, 2, 0, 2, 0, 2),
+                                  (2, 0, 2, 1, 1, 2), (2, 2, 1, 0, 2, 0))),
+])
+def test_find_inner_matrix_beyond_the_whole_space(p, s, q, checked, rows):
+    started = time.perf_counter()
+    result = cons.find_inner_matrix(p, s, q, 1)
+    assert time.perf_counter() - started < 5
+    assert result == cons.InnerSearchResult(SignatureMatrix(q=q, rows=rows), checked)
+    assert min_distinguishing_weight(result.matrix).d_min == 3
+
+
+@pytest.mark.parametrize("p, s", [(3, 5), (4, 5)])
+def test_find_inner_matrix_proves_ternary_5_columns_empty(p, s):
+    with pytest.raises(ConstructionFailure) as info:
+        cons.find_inner_matrix(p, s, 3, 1)
+    assert (info.value.attempts, info.value.attempts_text) == (3 ** (p * s), f"3^{p * s}")
+
+
+def test_find_inner_matrix_huge_space_exhausts_without_its_digits():
+    # d_min = p needs a row that is nonzero on every sign pattern: no binary
+    # 2-column row is, so the first step proves all 2^20002 candidates empty
+    with pytest.raises(ConstructionFailure) as info:
+        cons.find_inner_matrix(10001, 2, 2, 5000)
+    assert info.value.attempts == 2 ** 20002
+    assert str(info.value) == ("exhausted all 2^20002 candidate 10001x2 matrices over q=2: "
+                               "none reaches d_min >= 10001")
+
+
+@pytest.mark.parametrize("p, s, q, t_inner, error", [
+    (1, 12, 2, 0, "table of q^s rows x (3^s - 1)/2 sign patterns exceeds its cap of 4194304"),
+    (1, 2, 1025, 0, "exceeds its cap of 4194304 entries"),
+    (1, 1, 10 ** 400, 0, "exceeds its cap of 4194304 entries"),
+    (1, 10 ** 400, 2, 0, "exceeds its cap of 4194304 entries"),
+    (cons.INNER_STEP_CAP + 1, 1, 2, 0, "--p must be at most the inner search's 262144 steps"),
+    (3, 2, 3, 2, "--inner-t must be at most (p - 1) // 2 = 1"),
+])
+def test_find_inner_matrix_refuses_before_its_table(monkeypatch, p, s, q, t_inner, error):
+    def no_table(*args):
+        raise AssertionError("a refused search built its table")
+
+    monkeypatch.setattr(cons, "_digit_sums", no_table)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        cons.find_inner_matrix(p, s, q, t_inner)
+
+
+def test_find_inner_matrix_step_cap(monkeypatch):
+    # (4, 4, 3, 1) is decided in 510 steps: each finds the next row that can
+    # follow the rows chosen, or backtracks
+    monkeypatch.setattr(cons, "INNER_STEP_CAP", 510)
+    assert cons.find_inner_matrix(4, 4, 3, 1).checked == 9_347_723
+    monkeypatch.setattr(cons, "INNER_STEP_CAP", 509)
+    with pytest.raises(ValueError, match="the inner search took 509 steps without a decision"):
+        cons.find_inner_matrix(4, 4, 3, 1)
+
+
+def test_inner_search_memory_is_bounded():
+    """Peak below two row tables and a few vectors a depth.
+
+    The search holds the table, a byte an entry, and at each step a copy of
+    its rows on the patterns a row must be nonzero on; each depth keeps only
+    its pattern weights.  A table-sized array kept a depth breaks the bound.
+    """
     import tracemalloc
 
-    whole = 3 ** 12 * (3 ** 4 - 1) // 2
-    assert 2 * cons.INNER_BLOCK < whole
+    p, s, q = 4, 7, 3           # a table of 2,390,391 entries, over half the cap
+    patterns = (3 ** s - 1) // 2
     tracemalloc.start()
     try:
-        distances = stacked_distances(*TERNARY_3X4)
+        with pytest.raises(ConstructionFailure) as info:
+            cons.find_inner_matrix(p, s, q, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * cons.INNER_BLOCK
-    # a block of 4096 weights holds the 81 candidates that differ in their last row
-    monkeypatch.setattr(cons, "INNER_BLOCK", 1 << 12)
-    assert np.array_equal(stacked_distances(*TERNARY_3X4), distances)
-    assert cons.find_inner_matrix(*TERNARY_3X4, t_inner=0).checked == 451
+    assert info.value.attempts == 3 ** 28
+    assert peak < 2 * q ** s * patterns + 16 * p * (patterns + q ** s)
 
 
 def test_plan_epsilon_split():
