@@ -6,7 +6,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -292,9 +292,31 @@ def test_find_inner_matrix_emptiness_proof():
 # The last four are edge shapes: one row, one column, q = 2, and one row over q = 7.
 @pytest.mark.parametrize("p, s, q", [(2, 3, 3), (2, 2, 4), (3, 2, 3),
                                      (1, 3, 3), (3, 1, 2), (2, 2, 2), (1, 2, 7)])
-def test_stacked_distances_match_walk(p, s, q):
+# 1 << 22 is the default; the small caps fall between the shapes' tables of
+# 2 to 351 entries, down to a cap that refuses every one.
+@pytest.mark.parametrize("table_cap", [1 << 22, 300, 60, 40, 8, 1])
+def test_stacked_distances_match_walk(monkeypatch, p, s, q, table_cap):
+    """The whole-space kernel matches the walk, and the search the kernel.
+
+    For every target the search returns the kernel's first hit and its
+    index, or exhausts the space, unless its row table is above the cap.
+    """
     walked = [min_distinguishing_weight(m).d_min for m in inner_reference.candidates(p, s, q)]
-    assert inner_reference.stacked_distances(p, s, q).tolist() == walked
+    distances = inner_reference.stacked_distances(p, s, q)
+    assert distances.tolist() == walked
+    monkeypatch.setattr(cons, "INNER_TABLE_CAP", table_cap)
+    for t_inner in range((p - 1) // 2 + 1):
+        if q ** s * (3 ** s - 1) // 2 > table_cap:
+            with pytest.raises(ValueError, match=f"exceeds its cap of {table_cap} entries"):
+                cons.find_inner_matrix(p, s, q, t_inner)
+        elif (hits := np.flatnonzero(distances >= 2 * t_inner + 1)).size:
+            matrix = next(islice(inner_reference.candidates(p, s, q), int(hits[0]), None))
+            assert cons.find_inner_matrix(p, s, q, t_inner) == cons.InnerSearchResult(
+                matrix, int(hits[0]) + 1)
+        else:
+            with pytest.raises(ConstructionFailure) as info:
+                cons.find_inner_matrix(p, s, q, t_inner)
+            assert info.value.attempts == q ** (p * s)
 
 
 def assert_same_search(p, s, q, t_inner):
