@@ -68,11 +68,13 @@ RANDOM_BATCH = 25
 # find_inner_matrix refuses a row table, q^s rows x (3^s - 1)/2 sign
 # patterns, of more entries than this, a byte each.  On a 2-vCPU Xeon, a
 # search's traced peak at the cap was at most 55 MB, at (p, s, q) =
-# (1, 1, 2^22), and 11 MB for s >= 2.
+# (1, 1, 2^22), and 14 MB for s >= 2.
 INNER_TABLE_CAP = 1 << 22
-# find_inner_matrix gives up after this many steps, each one numpy pass over
-# at most the table (1.3 ms at the cap).  Refused searches took at most
-# 4.5 s, as (7, 8, 2, 1); (5, 6, 3, 1) is decided in 75,355 steps.
+# find_inner_matrix gives up after this many steps.  A step is a descent or
+# a backtrack, and one more for each 2^15 table entries it scans, so none
+# passes about 30 us.  Over p up to 2^18 at the largest table for each s,
+# refused searches took at most 6.9 s, at s = 8; (5, 6, 3, 1) is decided in
+# 75,565 steps.
 INNER_STEP_CAP = 1 << 18
 
 
@@ -394,14 +396,20 @@ def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult
     table = np.empty((len(signs), q ** s), dtype=bool)
     for z, line in zip(signs, table):
         np.not_equal(_digit_sums(z[::-1, None], np.arange(q, dtype=values))[:, 0], 0, out=line)
-    # weights[d] holds the pattern weights of path[:d]; a step looks for the
-    # least row >= `row` that can follow path.
-    path, weights, row = [], [np.zeros(len(signs), dtype=int)], 0
-    for _ in range(INNER_STEP_CAP):
+    # weights holds the pattern weights of path; a step looks for the least
+    # row >= `row` that can follow path.
+    path, weights, row, steps = [], np.zeros(len(signs), dtype=int), 0, 0
+    while True:
         # Every weight of a node that was not cut is at least need - 1, so a
         # row is cut iff it is 0 on some pattern of weight need - 1.
         need = target - (p - len(path) - 1)
-        alive = table[weights[-1] < need, row:].all(axis=0)
+        low = table[weights < need, row:]
+        # One step, and one more for each 2^15 entries scanned (see the cap).
+        steps += 1 + ((len(low) + 1) * low.shape[1] >> 15)
+        if steps > INNER_STEP_CAP:
+            raise ValueError(f"the inner search took {INNER_STEP_CAP} steps without a decision; "
+                             f"choose a smaller --q, --p or --s")
+        alive = low.all(axis=0)
         if alive.size and alive[i := int(alive.argmax())]:
             row += i
             path.append(row)
@@ -411,18 +419,16 @@ def find_inner_matrix(p: int, s: int, q: int, t_inner: int) -> InnerSearchResult
                     checked = checked * q ** s + r
                 rows = tuple(tuple(r // q ** e % q for e in range(s - 1, -1, -1)) for r in path)
                 return InnerSearchResult(SignatureMatrix(q=q, rows=rows), checked + 1)
-            weights.append(weights[-1] + table[:, row])
+            weights += table[:, row]
         elif path:
+            weights -= table[:, path[-1]]
             row = path.pop() + 1
-            weights.pop()
         else:
             raise ConstructionFailure(
                 f"exhausted all {q}^{p * s} candidate {p}x{s} matrices over q={q}: "
                 f"none reaches d_min >= {target}",
                 attempts=q ** (p * s), attempts_text=f"{q}^{p * s}",
             )
-    raise ValueError(f"the inner search took {INNER_STEP_CAP} steps without a decision; "
-                     f"choose a smaller --q, --p or --s")
 
 
 def plan_epsilon_split(q: int, epsilon) -> tuple[Fraction, Fraction]:

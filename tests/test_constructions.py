@@ -6,6 +6,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -289,6 +290,15 @@ def test_find_inner_matrix_emptiness_proof():
     assert info.value.attempts == 2 ** 6
 
 
+@cache
+def walked_distances(p, s, q):
+    """Every candidate's d_min by the whole-space kernel, checked against the walk."""
+    walked = [min_distinguishing_weight(m).d_min for m in inner_reference.candidates(p, s, q)]
+    distances = inner_reference.stacked_distances(p, s, q)
+    assert distances.tolist() == walked
+    return distances
+
+
 # The last four are edge shapes: one row, one column, q = 2, and one row over q = 7.
 @pytest.mark.parametrize("p, s, q", [(2, 3, 3), (2, 2, 4), (3, 2, 3),
                                      (1, 3, 3), (3, 1, 2), (2, 2, 2), (1, 2, 7)])
@@ -301,9 +311,7 @@ def test_stacked_distances_match_walk(monkeypatch, p, s, q, table_cap):
     For every target the search returns the kernel's first hit and its
     index, or exhausts the space, unless its row table is above the cap.
     """
-    walked = [min_distinguishing_weight(m).d_min for m in inner_reference.candidates(p, s, q)]
-    distances = inner_reference.stacked_distances(p, s, q)
-    assert distances.tolist() == walked
+    distances = walked_distances(p, s, q)
     monkeypatch.setattr(cons, "INNER_TABLE_CAP", table_cap)
     for t_inner in range((p - 1) // 2 + 1):
         if q ** s * (3 ** s - 1) // 2 > table_cap:
@@ -409,36 +417,48 @@ def test_find_inner_matrix_refuses_before_its_table(monkeypatch, p, s, q, t_inne
         cons.find_inner_matrix(p, s, q, t_inner)
 
 
-def test_find_inner_matrix_step_cap(monkeypatch):
-    # (4, 4, 3, 1) is decided in 510 steps: each finds the next row that can
-    # follow the rows chosen, or backtracks
-    monkeypatch.setattr(cons, "INNER_STEP_CAP", 510)
-    assert cons.find_inner_matrix(4, 4, 3, 1).checked == 9_347_723
-    monkeypatch.setattr(cons, "INNER_STEP_CAP", 509)
-    with pytest.raises(ValueError, match="the inner search took 509 steps without a decision"):
-        cons.find_inner_matrix(4, 4, 3, 1)
+# (4, 4, 3, 1) is decided in 510 steps: each finds the next row that can
+# follow the rows chosen, or backtracks.  (3, 1, 2^16 + 1, 1) is decided in
+# three, but each has its one pattern below the edge, so scans it and the
+# rows found over the 2^16 + 1 or 2^16 rows left: 1 + (2 * 2^16 >> 15) = 5.
+@pytest.mark.parametrize("p, s, q, t_inner, steps, checked", [
+    (4, 4, 3, 1, 510, 9_347_723),
+    (3, 1, 2 ** 16 + 1, 1, 15, (2 ** 16 + 1) ** 2 + (2 ** 16 + 1) + 2),
+])
+def test_find_inner_matrix_step_cap(monkeypatch, p, s, q, t_inner, steps, checked):
+    monkeypatch.setattr(cons, "INNER_STEP_CAP", steps)
+    assert cons.find_inner_matrix(p, s, q, t_inner).checked == checked
+    monkeypatch.setattr(cons, "INNER_STEP_CAP", steps - 1)
+    with pytest.raises(ValueError, match=f"the inner search took {steps - 1} steps without a decision"):
+        cons.find_inner_matrix(p, s, q, t_inner)
 
 
-def test_inner_search_memory_is_bounded():
-    """Peak below two row tables and a few vectors a depth.
+# (4, 7, 3, 1) has a table over half the cap; (4096, 8, 2, 0) descends through
+# 4,095 all-zero rows before its first backtrack, and is refused soon after.
+@pytest.mark.parametrize("p, s, q, t_inner, step_cap, error", [
+    (4, 7, 3, 1, cons.INNER_STEP_CAP, ConstructionFailure),
+    (4096, 8, 2, 0, 8192, ValueError),
+])
+def test_inner_search_memory_is_bounded(monkeypatch, p, s, q, t_inner, step_cap, error):
+    """Peak below two row tables, a few pattern and row vectors, and the path.
 
     The search holds the table, a byte an entry, and at each step a copy of
-    its rows on the patterns a row must be nonzero on; each depth keeps only
-    its pattern weights.  A table-sized array kept a depth breaks the bound.
+    its rows on the patterns a row must be nonzero on; it keeps one weight
+    vector, updated in place.  Keeping a weight vector a depth breaks the
+    bound: 8 * (p - 1) * patterns bytes, 107 MB at p = 4096.
     """
     import tracemalloc
 
-    p, s, q = 4, 7, 3           # a table of 2,390,391 entries, over half the cap
     patterns = (3 ** s - 1) // 2
+    monkeypatch.setattr(cons, "INNER_STEP_CAP", step_cap)
     tracemalloc.start()
     try:
-        with pytest.raises(ConstructionFailure) as info:
-            cons.find_inner_matrix(p, s, q, 1)
+        with pytest.raises(error):
+            cons.find_inner_matrix(p, s, q, t_inner)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert info.value.attempts == 3 ** 28
-    assert peak < 2 * q ** s * patterns + 16 * p * (patterns + q ** s)
+    assert peak < 2 * q ** s * patterns + 64 * (patterns + q ** s + p)
 
 
 def test_plan_epsilon_split():
